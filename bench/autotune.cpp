@@ -141,9 +141,6 @@ serve::ServeConfig serve_config_from(const tune::TunedConfig& cfg,
   out.server_seed = seed;
   out.max_batch = cfg.max_batch;
   out.queue_capacity = cfg.queue_capacity;
-  out.stream_strategy = cfg.stream_strategy == "counter-based"
-                            ? rng::StreamStrategy::kCounterBased
-                            : rng::StreamStrategy::kJumpAhead;
   out.resident = resident;
   out.resident_pipe_depth = cfg.pipe_depth;
   return out;

@@ -253,16 +253,14 @@ int main(int argc, char** argv) {
   {
     const auto shared = std::make_shared<const finance::Portfolio>(
         bench_portfolio(args->seed));
-    for (const auto strategy : {rng::StreamStrategy::kJumpAhead,
-                                rng::StreamStrategy::kCounterBased}) {
+    {
       ServePoint sp;
-      sp.strategy = strategy_name(strategy);
+      sp.strategy = "counter_based";  // the serving layer's only streams
       std::vector<serve::CreditRiskResult> classic_results;
       std::vector<serve::CreditRiskResult> resident_results;
       for (const bool resident : {false, true}) {
         serve::ServeConfig cfg;
         cfg.server_seed = static_cast<std::uint32_t>(args->seed);
-        cfg.stream_strategy = strategy;
         cfg.queue_capacity = serve_requests + 1;
         cfg.resident = resident;
         serve::SamplingServer server(cfg);

@@ -280,108 +280,90 @@ int main(int argc, char** argv) {
     t.render(std::cout);
   }
 
-  // ==== Phase 2b: substream-strategy sweep ============================
-  // kJumpAhead vs kCounterBased head-to-head: closed-loop throughput,
-  // determinism across submission orders, and the per-request substream
-  // derivation cost (the popcount(index) GF(2) matrix applies the
-  // splitter pays vs the counter write Philox pays).
+  // ==== Phase 2b: substream derivation ===============================
+  // The counter-based serve streams: closed-loop throughput at the
+  // widest thread count, determinism across submission orders, and the
+  // per-request substream derivation cost (one Philox counter write).
   struct StrategyPoint {
-    const char* name = "";
+    const char* name = "counter_based";
     double wall_seconds = 0.0;
     double throughput_rps = 0.0;
     double derivation_ns = 0.0;
     bool identical = true;
   };
-  std::vector<StrategyPoint> strategies;
-  for (const auto strategy : {rng::StreamStrategy::kJumpAhead,
-                              rng::StreamStrategy::kCounterBased}) {
-    const bool counter = strategy == rng::StreamStrategy::kCounterBased;
-    StrategyPoint sp;
-    sp.name = counter ? "counter_based" : "jump_ahead";
+  StrategyPoint sp;
 
-    // Derivation microcost: serve-realistic spread of request ids.
-    {
-      serve::ServeConfig cfg = server_config(spec, true);
-      cfg.stream_strategy = strategy;
-      serve::SamplingServer server(cfg);
-      constexpr std::size_t kDerivations = 20'000;
-      double best = 1e300;
-      for (int rep = 0; rep < 3; ++rep) {
-        const auto t0 = std::chrono::steady_clock::now();
-        std::uint32_t sink = 0;
-        for (std::size_t i = 0; i < kDerivations; ++i) {
-          const serve::RequestId id = (i * 2654435761u) % 1'000'000u;
-          if (counter) {
-            rng::Philox px = server.gamma_counter_stream(id);
-            sink ^= px.next();
-          } else {
-            rng::MersenneTwister mt = server.gamma_stream(id);
-            sink ^= mt.next();
-          }
-        }
-        const double s = std::chrono::duration<double>(
-                             std::chrono::steady_clock::now() - t0)
-                             .count();
-        best = std::min(best, s / kDerivations * 1e9);
-        if (sink == 0xdeadbeefu) std::cout << "";  // defeat DCE
-      }
-      sp.derivation_ns = best;
-    }
-
-    // Closed loop at the widest thread count, plus an order-shuffled
-    // fingerprint pass pinning determinism under this strategy.
-    {
-      exec::set_thread_count(max_threads);
-      serve::ServeConfig cfg = server_config(spec, true);
-      cfg.stream_strategy = strategy;
-      std::uint64_t fp_natural = 0, fp_shuffled = 0;
-      {
-        serve::SamplingServer server(cfg);
-        fp_natural = run_set_fingerprint(server, items, natural);
-      }
-      {
-        serve::SamplingServer server(cfg);
-        fp_shuffled = run_set_fingerprint(server, items, shuffled);
-      }
-      sp.identical = fp_natural == fp_shuffled;
-      identical &= sp.identical;
-
-      serve::SamplingServer server(cfg);
+  // Derivation microcost: serve-realistic spread of request ids.
+  {
+    serve::SamplingServer server(server_config(spec, true));
+    constexpr std::size_t kDerivations = 20'000;
+    double best = 1e300;
+    for (int rep = 0; rep < 3; ++rep) {
       const auto t0 = std::chrono::steady_clock::now();
-      std::vector<std::thread> workers;
-      workers.reserve(spec.clients);
-      for (unsigned c = 0; c < spec.clients; ++c) {
-        workers.emplace_back([&, c] {
-          for (std::size_t i = c; i < items.size(); i += spec.clients) {
-            if (items[i].is_gamma) {
-              (void)server.run(items[i].gamma);
-            } else {
-              (void)server.run(items[i].credit);
-            }
-          }
-        });
+      std::uint32_t sink = 0;
+      for (std::size_t i = 0; i < kDerivations; ++i) {
+        const serve::RequestId id = (i * 2654435761u) % 1'000'000u;
+        rng::Philox px = server.gamma_stream(id);
+        sink ^= px.next();
       }
-      for (auto& w : workers) w.join();
-      sp.wall_seconds = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count();
-      sp.throughput_rps = static_cast<double>(items.size()) / sp.wall_seconds;
+      const double s = std::chrono::duration<double>(
+                           std::chrono::steady_clock::now() - t0)
+                           .count();
+      best = std::min(best, s / kDerivations * 1e9);
+      if (sink == 0xdeadbeefu) std::cout << "";  // defeat DCE
     }
-    strategies.push_back(sp);
+    sp.derivation_ns = best;
   }
 
-  std::cout << "\n=== Substream strategy sweep (" << max_threads
+  // Closed loop at the widest thread count, plus an order-shuffled
+  // fingerprint pass pinning determinism.
+  {
+    exec::set_thread_count(max_threads);
+    const serve::ServeConfig cfg = server_config(spec, true);
+    std::uint64_t fp_natural = 0, fp_shuffled = 0;
+    {
+      serve::SamplingServer server(cfg);
+      fp_natural = run_set_fingerprint(server, items, natural);
+    }
+    {
+      serve::SamplingServer server(cfg);
+      fp_shuffled = run_set_fingerprint(server, items, shuffled);
+    }
+    sp.identical = fp_natural == fp_shuffled;
+    identical &= sp.identical;
+
+    serve::SamplingServer server(cfg);
+    const auto t0 = std::chrono::steady_clock::now();
+    std::vector<std::thread> workers;
+    workers.reserve(spec.clients);
+    for (unsigned c = 0; c < spec.clients; ++c) {
+      workers.emplace_back([&, c] {
+        for (std::size_t i = c; i < items.size(); i += spec.clients) {
+          if (items[i].is_gamma) {
+            (void)server.run(items[i].gamma);
+          } else {
+            (void)server.run(items[i].credit);
+          }
+        }
+      });
+    }
+    for (auto& w : workers) w.join();
+    sp.wall_seconds = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+    sp.throughput_rps = static_cast<double>(items.size()) / sp.wall_seconds;
+  }
+
+  std::cout << "\n=== Substream derivation (" << max_threads
             << " threads) ===\n";
   {
     TextTable t;
     t.set_header({"Strategy", "Wall [s]", "Req/s", "Derivation [ns]",
                   "Deterministic"});
-    for (const auto& sp : strategies) {
-      t.add_row({sp.name, TextTable::num(sp.wall_seconds, 3),
-                 TextTable::num(sp.throughput_rps, 0),
-                 TextTable::num(sp.derivation_ns, 0),
-                 sp.identical ? "yes" : "NO"});
-    }
+    t.add_row({sp.name, TextTable::num(sp.wall_seconds, 3),
+               TextTable::num(sp.throughput_rps, 0),
+               TextTable::num(sp.derivation_ns, 0),
+               sp.identical ? "yes" : "NO"});
     t.render(std::cout);
   }
 
@@ -469,15 +451,13 @@ int main(int argc, char** argv) {
     }
     j.end_array();
     j.key("strategy_sweep").begin_array();
-    for (const auto& sp : strategies) {
-      j.begin_object();
-      j.kv("strategy", sp.name);
-      j.kv("wall_seconds", sp.wall_seconds);
-      j.kv("throughput_rps", sp.throughput_rps);
-      j.kv("derivation_ns_per_request", sp.derivation_ns);
-      j.kv("order_identical", sp.identical);
-      j.end_object();
-    }
+    j.begin_object();
+    j.kv("strategy", sp.name);
+    j.kv("wall_seconds", sp.wall_seconds);
+    j.kv("throughput_rps", sp.throughput_rps);
+    j.kv("derivation_ns_per_request", sp.derivation_ns);
+    j.kv("order_identical", sp.identical);
+    j.end_object();
     j.end_array();
     j.key("open_loop").begin_object();
     j.kv("offered_rps", spec.open_loop_rate);

@@ -5,7 +5,7 @@
 // CreditRisk+ portfolio jobs), a bounded admission queue applies
 // explicit backpressure, and a batch scheduler fans compatible
 // requests out over the process-wide exec pool. Every request draws
-// from its own jump-ahead substream keyed by (server_seed,
+// from its own counter-based Philox substream keyed by (server_seed,
 // request_id), so results are bit-identical no matter how requests
 // were interleaved, batched or threaded.
 //
@@ -84,11 +84,11 @@ int main() {
 
   // Offline reproduction: the served result is a pure function of the
   // request's substream — no server needed to recompute it.
-  rng::MersenneTwister mt = server.gamma_stream(probe.id);
+  rng::Philox px = server.gamma_stream(probe.id);
   rng::GammaSampler sampler(
       rng::GammaConstants::make(probe.alpha, probe.scale), probe.transform);
   std::vector<float> offline(probe.count);
-  sampler.sample_block(mt, offline.data(), offline.size());
+  sampler.sample_block(px, offline.data(), offline.size());
   std::cout << "  offline recomputation matches served result: "
             << (offline == once.samples ? "yes" : "NO — BUG") << "\n";
 

@@ -12,10 +12,9 @@
 // given instance at a time, with a happens-before edge on every
 // handoff — which exec::parallel_for's claim/complete protocol
 // provides. Two threads that need a shared queue must use
-// hls::stream (blocking, mutex-based) or SpscRingBuffer
-// (common/spsc_ring_buffer.h, lock-free single-producer/single-
-// consumer). Debug builds enforce the contract: every mutating or
-// reading accessor asserts that no other access is in flight.
+// hls::stream (blocking, mutex-based). Debug builds enforce the
+// contract: every mutating or reading accessor asserts that no other
+// access is in flight.
 #pragma once
 
 #include <cstddef>

@@ -76,15 +76,18 @@ double LossDistribution::value_at_risk(double p) const {
 }
 
 double LossDistribution::expected_shortfall(double p) const {
+  // var + mean(loss - var) over the tail: every excess is >= 0, so a
+  // tied tail returns exactly var and rounding never lands below it (a
+  // plain mean of tied losses can, by one ulp).
   const double var = value_at_risk(p);
-  double sum = 0.0;
+  double excess = 0.0;
   std::size_t n = 0;
   for (auto it = losses_.rbegin(); it != losses_.rend() && *it >= var; ++it) {
-    sum += *it;
+    excess += *it - var;
     ++n;
   }
   DWI_ASSERT(n > 0);
-  return sum / static_cast<double>(n);
+  return var + excess / static_cast<double>(n);
 }
 
 ScenarioAggregator::ScenarioAggregator(const Portfolio& portfolio,

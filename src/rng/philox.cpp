@@ -113,6 +113,7 @@ void Philox::seek(std::uint64_t output_index_lo,
               static_cast<std::uint32_t>(block_hi >> 32)};
   refill();
   lane_ = static_cast<unsigned>(output_index_lo % 4);
+  origin_ = output_index_lo;
 }
 
 void Philox::skip(std::uint64_t count) {

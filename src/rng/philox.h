@@ -67,6 +67,19 @@ class Philox {
 
   const std::array<std::uint32_t, 2>& key() const { return key_; }
 
+  /// Absolute position modulo 2^64: the index of the output the next
+  /// next() returns.
+  std::uint64_t position() const {
+    const std::uint64_t block =
+        counter_[0] | (static_cast<std::uint64_t>(counter_[1]) << 32);
+    return block * 4 - 4 + lane_;  // counter_ names the block after block_
+  }
+
+  /// Outputs served or skipped since construction or the last seek()
+  /// (exact below 2^64). A derived substream starts with a seek(), so
+  /// this is how much of its window a holder has used.
+  std::uint64_t consumed() const { return position() - origin_; }
+
  private:
   friend class AdaptedPhilox;
 
@@ -76,6 +89,7 @@ class Philox {
   std::array<std::uint32_t, 4> counter_{};
   std::array<std::uint32_t, 4> block_{};
   unsigned lane_ = 4;  ///< forces refill on first next()
+  std::uint64_t origin_ = 0;  ///< position() at the last seek()
 };
 
 /// Counter-based analogue of rng::SubstreamSplitter: partitions the

@@ -366,22 +366,13 @@ ClusterSnapshot ShardedSamplingServer::metrics() const {
   return snap;
 }
 
-rng::MersenneTwister ShardedSamplingServer::gamma_stream(RequestId id) const {
+rng::Philox ShardedSamplingServer::gamma_stream(RequestId id) const {
   return shards_[0]->server->gamma_stream(id);
 }
 
-rng::MersenneTwister ShardedSamplingServer::sector_stream(
-    RequestId id, std::size_t k) const {
+rng::Philox ShardedSamplingServer::sector_stream(RequestId id,
+                                                 std::size_t k) const {
   return shards_[0]->server->sector_stream(id, k);
-}
-
-rng::Philox ShardedSamplingServer::gamma_counter_stream(RequestId id) const {
-  return shards_[0]->server->gamma_counter_stream(id);
-}
-
-rng::Philox ShardedSamplingServer::sector_counter_stream(
-    RequestId id, std::size_t k) const {
-  return shards_[0]->server->sector_counter_stream(id, k);
 }
 
 std::uint64_t ShardedSamplingServer::poisson_seed(RequestId id) const {

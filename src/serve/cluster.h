@@ -30,7 +30,7 @@
 //
 // Determinism contract (tests/test_cluster.cpp): every shard is
 // configured with the SAME server_seed, so a request's response is
-// derived from (server_seed, request id) counter/jump-ahead substreams
+// derived from (server_seed, request id) counter-based substreams
 // no matter which shard computes it. Shard count, routing policy,
 // stealing, resident mode and thread count cannot move a single bit of
 // any response — placement is invisible in the bytes, which is what
@@ -101,7 +101,7 @@ struct ClusterConfig {
   /// Per-shard server configuration. Every shard gets an identical
   /// copy — one server_seed for the whole cluster is precisely what
   /// makes placement irrelevant to response bytes. queue_capacity,
-  /// resident, stream_strategy etc. all apply per shard.
+  /// resident, substream geometry etc. all apply per shard.
   /// (shard.response_cache_entries turns on a PER-SHARD response
   /// cache; with consistent-hash placement, retries of an id land on
   /// the shard that cached it.)
@@ -205,10 +205,8 @@ class ShardedSamplingServer {
   /// Offline-reproduction accessors, identical on every shard (same
   /// seed, same geometry) — delegated to shard 0 so cluster responses
   /// can be recomputed without knowing placement.
-  rng::MersenneTwister gamma_stream(RequestId id) const;
-  rng::MersenneTwister sector_stream(RequestId id, std::size_t k) const;
-  rng::Philox gamma_counter_stream(RequestId id) const;
-  rng::Philox sector_counter_stream(RequestId id, std::size_t k) const;
+  rng::Philox gamma_stream(RequestId id) const;
+  rng::Philox sector_stream(RequestId id, std::size_t k) const;
   std::uint64_t poisson_seed(RequestId id) const;
 
  private:

@@ -23,7 +23,7 @@
 
 namespace dwi::serve {
 
-/// Client-assigned request identity. Ids select disjoint jump-ahead
+/// Client-assigned request identity. Ids select disjoint counter-based
 /// substream blocks; clients must keep them unique per server if they
 /// want statistically independent results (reusing an id deliberately
 /// replays the exact same stream — useful for idempotent retries).
@@ -50,6 +50,30 @@ class RejectedError : public Error {
 
  private:
   ServeStatus status_;
+};
+
+/// Typed failure of an admitted request whose compute consumed more
+/// than ServeConfig::substream_stride outputs from one of its
+/// substreams, i.e. read into the next slot's window. The request's
+/// future carries this error (counted as failed); other requests are
+/// unaffected.
+class StreamBudgetError : public Error {
+ public:
+  StreamBudgetError(RequestId id, std::uint64_t slot, std::uint64_t consumed,
+                    std::uint64_t budget);
+
+  RequestId id() const { return id_; }
+  /// Slot within the request's substream block (0 = gamma/zoo slot,
+  /// 1 + k = CreditRisk+ sector k).
+  std::uint64_t slot() const { return slot_; }
+  std::uint64_t consumed() const { return consumed_; }
+  std::uint64_t budget() const { return budget_; }
+
+ private:
+  RequestId id_;
+  std::uint64_t slot_;
+  std::uint64_t consumed_;
+  std::uint64_t budget_;
 };
 
 /// A batch of Gamma(alpha, scale) variates.

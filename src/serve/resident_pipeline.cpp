@@ -1,12 +1,10 @@
 #include "serve/resident_pipeline.h"
 
-#include <optional>
 #include <utility>
 
 #include "common/error.h"
 #include "finance/creditrisk_plus.h"
 #include "rng/gamma.h"
-#include "rng/mersenne_twister.h"
 #include "rng/philox.h"
 #include "serve/metrics.h"
 #include "serve/response_cache.h"
@@ -82,8 +80,6 @@ ServeStatus ResidentPipeline::try_enqueue(const CreditRiskRequest& req,
 }
 
 void ResidentPipeline::sampler_loop() {
-  const bool counter_based = server_->config().stream_strategy ==
-                             rng::StreamStrategy::kCounterBased;
   Job job;
   while (admission_.read(&job)) {
     // Hand the job forward first so the aggregator can start consuming
@@ -97,24 +93,17 @@ void ResidentPipeline::sampler_loop() {
     // byte-identical.
     struct SectorStream {
       rng::GammaSampler sampler;
-      std::optional<rng::MersenneTwister> mt;
-      std::optional<rng::Philox> px;
+      rng::Philox px;
     };
     std::vector<SectorStream> streams;
     streams.reserve(K);
     for (std::size_t k = 0; k < K; ++k) {
-      SectorStream s{
+      streams.push_back(SectorStream{
           rng::GammaSampler(
               rng::GammaConstants::from_sector_variance(static_cast<float>(
                   portfolio.sectors()[k].variance)),
               rng::NormalTransform::kMarsagliaBray),
-          std::nullopt, std::nullopt};
-      if (counter_based) {
-        s.px.emplace(server_->sector_counter_stream(job.req.id, k));
-      } else {
-        s.mt.emplace(server_->sector_stream(job.req.id, k));
-      }
-      streams.push_back(std::move(s));
+          server_->sector_stream(job.req.id, k)});
     }
 
     RowBlock block;
@@ -122,16 +111,25 @@ void ResidentPipeline::sampler_loop() {
     for (std::uint64_t s = 0; s < job.req.num_scenarios; ++s) {
       for (std::size_t k = 0; k < K; ++k) {
         SectorStream& st = streams[k];
-        block.data.push_back(static_cast<double>(st.sampler.sample(
-            [&st] { return st.px ? st.px->next() : st.mt->next(); })));
+        block.data.push_back(static_cast<double>(
+            st.sampler.sample([&st] { return st.px.next(); })));
       }
-      if (++block.rows == row_block_) {
+      // The job's final block (never empty: num_scenarios >= 2) is
+      // written after the budget check below.
+      if (++block.rows == row_block_ && s + 1 < job.req.num_scenarios) {
         rows_.write(std::move(block));
         block = RowBlock{};
         block.data.reserve(row_block_ * K);
       }
     }
-    if (block.rows > 0) rows_.write(std::move(block));
+    try {
+      for (std::size_t k = 0; k < K; ++k) {
+        server_->check_budget(streams[k].px, job.req.id, 1 + k);
+      }
+    } catch (...) {
+      block.error = std::current_exception();
+    }
+    rows_.write(std::move(block));
   }
   handoff_.close();
   rows_.close();
@@ -161,6 +159,7 @@ void ResidentPipeline::aggregator_loop() {
         consumed += block.rows;
       }
       DWI_ASSERT(consumed == job.req.num_scenarios);
+      if (block.error) std::rethrow_exception(block.error);
 
       const finance::LossDistribution dist = std::move(agg).finish();
       CreditRiskResult res;

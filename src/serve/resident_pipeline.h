@@ -28,6 +28,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <exception>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -85,6 +86,10 @@ class ResidentPipeline {
   struct RowBlock {
     std::size_t rows = 0;
     std::vector<double> data;
+    /// Set on a job's final block when its streams overran their
+    /// budget (SamplingServer::check_budget); the aggregator fails the
+    /// job with it.
+    std::exception_ptr error;
   };
 
   void sampler_loop();

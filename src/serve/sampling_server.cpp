@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <cmath>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -33,15 +32,6 @@ double duration_seconds(std::chrono::steady_clock::time_point from,
   return std::chrono::duration<double>(to - from).count();
 }
 
-/// One uniform source over the request's slot-0 substream; exactly one
-/// of {mt, px} is consumed, selected once per request (same shape as
-/// the CreditRisk+ sector streams below).
-struct SlotSource {
-  std::optional<rng::MersenneTwister> mt;
-  std::optional<rng::Philox> px;
-  std::uint32_t operator()() { return px ? px->next() : mt->next(); }
-};
-
 WorkloadStatsResult to_stats_result(const workloads::WorkloadStats& s) {
   WorkloadStatsResult r;
   r.cycles = s.cycles;
@@ -55,15 +45,10 @@ WorkloadStatsResult to_stats_result(const workloads::WorkloadStats& s) {
 }  // namespace
 
 SamplingServer::SamplingServer(ServeConfig cfg)
-    : cfg_(cfg),
-      splitter_(cfg.mt, cfg.server_seed, cfg.substream_stride),
-      counter_streams_(cfg.server_seed, cfg.substream_stride) {
+    : cfg_(cfg), streams_(cfg.server_seed, cfg.substream_stride) {
   DWI_REQUIRE(cfg_.substreams_per_request >= 2,
               "serve: need at least one gamma slot and one sector slot "
               "per request id");
-  DWI_REQUIRE(cfg_.stream_strategy != rng::StreamStrategy::kDistinctSeeds,
-              "serve: kDistinctSeeds cannot guarantee non-overlapping "
-              "request substreams; use kJumpAhead or kCounterBased");
   // Modeled-capacity admission: an enabled plan replaces the explicit
   // queue/batch constants with bounds derived from the device's
   // modeled throughput (serve/capacity.h); config() then reports the
@@ -109,30 +94,26 @@ std::size_t SamplingServer::queue_depth() const {
   return depth;
 }
 
-rng::MersenneTwister SamplingServer::gamma_stream(RequestId id) const {
-  return splitter_.stream(id * cfg_.substreams_per_request);
+rng::Philox SamplingServer::gamma_stream(RequestId id) const {
+  return streams_.stream(id * cfg_.substreams_per_request);
 }
 
-rng::MersenneTwister SamplingServer::sector_stream(RequestId id,
-                                                   std::size_t k) const {
+rng::Philox SamplingServer::sector_stream(RequestId id, std::size_t k) const {
   DWI_REQUIRE(k + 1 < cfg_.substreams_per_request,
               "serve: sector index exceeds the request's substream block");
-  return splitter_.stream(id * cfg_.substreams_per_request + 1 + k);
-}
-
-rng::Philox SamplingServer::gamma_counter_stream(RequestId id) const {
-  return counter_streams_.stream(id * cfg_.substreams_per_request);
-}
-
-rng::Philox SamplingServer::sector_counter_stream(RequestId id,
-                                                  std::size_t k) const {
-  DWI_REQUIRE(k + 1 < cfg_.substreams_per_request,
-              "serve: sector index exceeds the request's substream block");
-  return counter_streams_.stream(id * cfg_.substreams_per_request + 1 + k);
+  return streams_.stream(id * cfg_.substreams_per_request + 1 + k);
 }
 
 std::uint64_t SamplingServer::poisson_seed(RequestId id) const {
   return mix64((static_cast<std::uint64_t>(cfg_.server_seed) << 32) ^ id);
+}
+
+void SamplingServer::check_budget(const rng::Philox& stream, RequestId id,
+                                  std::uint64_t slot) const {
+  if (stream.consumed() > cfg_.substream_stride) {
+    throw StreamBudgetError(id, slot, stream.consumed(),
+                            cfg_.substream_stride);
+  }
 }
 
 ServeStatus SamplingServer::validate(const GammaRequest& req) const {
@@ -216,13 +197,9 @@ GammaResult SamplingServer::compute(const GammaRequest& req) const {
   GammaResult res;
   res.id = req.id;
   res.samples.resize(req.count);
-  if (cfg_.stream_strategy == rng::StreamStrategy::kCounterBased) {
-    rng::Philox px = gamma_counter_stream(req.id);
-    sampler.sample_block(px, res.samples.data(), res.samples.size());
-  } else {
-    rng::MersenneTwister mt = gamma_stream(req.id);
-    sampler.sample_block(mt, res.samples.data(), res.samples.size());
-  }
+  rng::Philox px = gamma_stream(req.id);
+  sampler.sample_block(px, res.samples.data(), res.samples.size());
+  check_budget(px, req.id, 0);
   res.attempts = sampler.attempts();
   res.accepted = sampler.accepted();
   return res;
@@ -230,35 +207,25 @@ GammaResult SamplingServer::compute(const GammaRequest& req) const {
 
 CreditRiskResult SamplingServer::compute(const CreditRiskRequest& req) const {
   const finance::Portfolio& portfolio = *req.portfolio;
-  const bool counter_based =
-      cfg_.stream_strategy == rng::StreamStrategy::kCounterBased;
-  // One uniform source per sector; exactly one of {mt, px} is consumed,
-  // selected once per request rather than per draw.
+  // One gamma sampler over its own substream per sector.
   struct SectorStream {
     rng::GammaSampler sampler;
-    std::optional<rng::MersenneTwister> mt;
-    std::optional<rng::Philox> px;
+    rng::Philox px;
   };
   std::vector<SectorStream> streams;
   streams.reserve(portfolio.num_sectors());
   for (std::size_t k = 0; k < portfolio.num_sectors(); ++k) {
-    SectorStream s{rng::GammaSampler(
-                       rng::GammaConstants::from_sector_variance(
-                           static_cast<float>(portfolio.sectors()[k].variance)),
-                       rng::NormalTransform::kMarsagliaBray),
-                   std::nullopt, std::nullopt};
-    if (counter_based) {
-      s.px.emplace(sector_counter_stream(req.id, k));
-    } else {
-      s.mt.emplace(sector_stream(req.id, k));
-    }
-    streams.push_back(std::move(s));
+    streams.push_back(SectorStream{
+        rng::GammaSampler(rng::GammaConstants::from_sector_variance(
+                              static_cast<float>(
+                                  portfolio.sectors()[k].variance)),
+                          rng::NormalTransform::kMarsagliaBray),
+        sector_stream(req.id, k)});
   }
   const finance::GammaSource source =
       [&streams](std::uint64_t, std::size_t sector) -> double {
     SectorStream& s = streams[sector];
-    return static_cast<double>(s.sampler.sample(
-        [&s] { return s.px ? s.px->next() : s.mt->next(); }));
+    return static_cast<double>(s.sampler.sample([&s] { return s.px.next(); }));
   };
 
   finance::McConfig mc;
@@ -266,6 +233,9 @@ CreditRiskResult SamplingServer::compute(const CreditRiskRequest& req) const {
   mc.seed = poisson_seed(req.id);
   const finance::LossDistribution dist =
       finance::simulate_losses(portfolio, mc, source);
+  for (std::size_t k = 0; k < streams.size(); ++k) {
+    check_budget(streams[k].px, req.id, 1 + k);
+  }
 
   CreditRiskResult res;
   res.id = req.id;
@@ -279,14 +249,11 @@ CreditRiskResult SamplingServer::compute(const CreditRiskRequest& req) const {
 }
 
 HistogramResult SamplingServer::compute(const HistogramRequest& req) const {
-  SlotSource src;
-  if (cfg_.stream_strategy == rng::StreamStrategy::kCounterBased) {
-    src.px.emplace(gamma_counter_stream(req.id));
-  } else {
-    src.mt.emplace(gamma_stream(req.id));
-  }
+  rng::Philox px = gamma_stream(req.id);
   const workloads::HistogramTrace trace = workloads::make_histogram_trace(
-      req.num_updates, req.num_bins, req.hot_fraction, src);
+      req.num_updates, req.num_bins, req.hot_fraction,
+      [&px] { return px.next(); });
+  check_budget(px, req.id, 0);
 
   workloads::HistogramConfig kcfg;
   kcfg.num_bins = req.num_bins;
@@ -303,15 +270,12 @@ HistogramResult SamplingServer::compute(const HistogramRequest& req) const {
 }
 
 SpmvResult SamplingServer::compute(const SpmvRequest& req) const {
-  SlotSource src;
-  if (cfg_.stream_strategy == rng::StreamStrategy::kCounterBased) {
-    src.px.emplace(gamma_counter_stream(req.id));
-  } else {
-    src.mt.emplace(gamma_stream(req.id));
-  }
+  rng::Philox px = gamma_stream(req.id);
+  const auto next = [&px] { return px.next(); };
   const workloads::CsrMatrix matrix = workloads::make_spmv_matrix(
-      req.rows, req.rows, req.nnz_per_row_min, req.nnz_per_row_max, src);
-  const std::vector<float> x = workloads::make_dense_vector(req.rows, src);
+      req.rows, req.rows, req.nnz_per_row_min, req.nnz_per_row_max, next);
+  const std::vector<float> x = workloads::make_dense_vector(req.rows, next);
+  check_budget(px, req.id, 0);
 
   workloads::SpmvConfig kcfg;
   kcfg.mode = req.mode;
@@ -326,14 +290,10 @@ SpmvResult SamplingServer::compute(const SpmvRequest& req) const {
 }
 
 MatchingResult SamplingServer::compute(const MatchingRequest& req) const {
-  SlotSource src;
-  if (cfg_.stream_strategy == rng::StreamStrategy::kCounterBased) {
-    src.px.emplace(gamma_counter_stream(req.id));
-  } else {
-    src.mt.emplace(gamma_stream(req.id));
-  }
-  const workloads::EdgeList graph =
-      workloads::make_edge_list(req.num_vertices, req.num_edges, src);
+  rng::Philox px = gamma_stream(req.id);
+  const workloads::EdgeList graph = workloads::make_edge_list(
+      req.num_vertices, req.num_edges, [&px] { return px.next(); });
+  check_budget(px, req.id, 0);
 
   workloads::MatchingConfig kcfg;
   kcfg.mode = req.mode;

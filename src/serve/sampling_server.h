@@ -14,28 +14,27 @@
 // never blocked indefinitely); the scheduler coalesces same-kind runs
 // into batches and fans them out over the process-wide exec pool; each
 // request computes on RNG substreams derived from
-// (server_seed, request_id) via the GF(2) jump-ahead
-// rng::SubstreamSplitter.
+// (server_seed, request_id) via the counter-based
+// rng::CounterSubstreams (one Philox counter write per substream).
 //
 // Determinism contract (pinned by tests/test_serve.cpp): a request's
 // result is a pure function of the server seed and the request itself.
 // Request id r owns substream indices
 //   [r · substreams_per_request, (r+1) · substreams_per_request)
-// of the master MT(521) sequence — gamma requests use slot 0, a
+// of the master Philox sequence — gamma and zoo requests use slot 0, a
 // CreditRisk+ request uses slot 1+k for sector k plus a Poisson seed
 // mixed from (server_seed, id). Arrival order, batch boundaries,
 // DWI_THREADS, and batching on/off cannot move a single bit of any
-// response.
+// response. Each slot owns substream_stride outputs; a request that
+// reads past that budget fails with StreamBudgetError.
 #pragma once
 
 #include <cstdint>
 #include <future>
 #include <memory>
 
-#include "rng/jump.h"
 #include "rng/mersenne_twister.h"
 #include "rng/philox.h"
-#include "rng/stream_strategy.h"
 #include "serve/batch_scheduler.h"
 #include "serve/capacity.h"
 #include "serve/metrics.h"
@@ -46,7 +45,7 @@
 namespace dwi::serve {
 
 struct ServeConfig {
-  /// Master seed of the substream splitter; the whole service's output
+  /// Master seed of the substream family; the whole service's output
   /// is a deterministic function of this and the request stream.
   std::uint32_t server_seed = 1;
 
@@ -72,30 +71,17 @@ struct ServeConfig {
   /// portfolio may have at most substreams_per_request - 1 sectors).
   std::uint64_t substreams_per_request = 16;
 
-  /// Master-sequence outputs reserved per substream. Must cover the
-  /// worst-case uniform consumption of one request slot; the default
-  /// gives max_gamma_count samples a 64-uniform budget each (the
-  /// Marsaglia-Tsang expectation is ~4–6).
+  /// Master-sequence outputs reserved per substream: the budget every
+  /// slot may consume. The default gives max_gamma_count samples a
+  /// 64-uniform budget each (the Marsaglia-Tsang expectation is ~4–6).
+  /// A request that reads past it fails with StreamBudgetError rather
+  /// than returning values drawn from its neighbour's window.
   std::uint64_t substream_stride = 1ull << 26;
 
-  /// Splitter geometry. Jump-ahead needs a small-period member of the
-  /// MT family (rng/jump.h) — the paper's MT(521) by default.
+  /// MT geometry of the retired jump-ahead serve streams. The server no
+  /// longer reads it; it stays so callers that replay jump-ahead
+  /// substreams on the serve geometry keep compiling.
   rng::MtParams mt = rng::mt521_params();
-
-  /// How request substreams are derived from (server_seed, id):
-  ///   kJumpAhead (default) — GF(2) offsets into one master MT(521)
-  ///     sequence; derivation costs popcount(index) matrix-vector
-  ///     applies against the splitter's cached squaring chain.
-  ///   kCounterBased — the same index space over one master Philox
-  ///     counter sequence; derivation is a counter write, O(1) with
-  ///     zero shared state, and any position of a served request's
-  ///     uniform tape can be seek()ed for cheap recomputation.
-  /// The two strategies sample different (equally valid) stream
-  /// families, so switching changes response VALUES; within either
-  /// strategy the determinism contract is identical.
-  /// kDistinctSeeds is not accepted: a serving layer must make
-  /// cross-request stream overlap impossible, not merely improbable.
-  rng::StreamStrategy stream_strategy = rng::StreamStrategy::kJumpAhead;
 
   /// Resident CreditRisk+ pipeline (serve/resident_pipeline.h): route
   /// CreditRisk+ requests to two permanently resident kernels
@@ -155,7 +141,7 @@ class SamplingServer {
 
   /// Divergent-kernel zoo admission (src/workloads): identical
   /// contract. The input trace is derived from the request's slot-0
-  /// substream — the one gamma_stream()/gamma_counter_stream() expose —
+  /// substream — the one gamma_stream() exposes —
   /// so responses (payload and cycle stats) are pure functions of
   /// (server_seed, request content).
   ServeStatus try_submit(const HistogramRequest& req,
@@ -197,21 +183,25 @@ class SamplingServer {
   /// least-loaded placement reads this.
   std::size_t queue_depth() const;
 
-  /// The substream a gamma request with this id draws from (exposed so
-  /// tests and offline pipelines can reproduce server results without
-  /// a server). Only meaningful under kJumpAhead.
-  rng::MersenneTwister gamma_stream(RequestId id) const;
-  /// The substream sector `k` of CreditRisk+ request `id` draws from.
-  rng::MersenneTwister sector_stream(RequestId id, std::size_t k) const;
-  /// kCounterBased counterparts: the Philox stream positioned at the
-  /// request's slot, derived in O(1). skip() from its start reaches
-  /// any position of the request's uniform tape in O(1), so offline
+  /// The substream a gamma or zoo request with this id draws from
+  /// (exposed so tests and offline pipelines can reproduce server
+  /// results without a server): the Philox stream positioned at the
+  /// request's slot 0, derived in O(1). skip() or seek() reaches any
+  /// position of the request's uniform tape in O(1), so offline
   /// recomputation of a served response (or any suffix of one) never
   /// replays the master sequence.
-  rng::Philox gamma_counter_stream(RequestId id) const;
-  rng::Philox sector_counter_stream(RequestId id, std::size_t k) const;
+  rng::Philox gamma_stream(RequestId id) const;
+  /// The substream sector `k` of CreditRisk+ request `id` draws from.
+  rng::Philox sector_stream(RequestId id, std::size_t k) const;
   /// The Poisson seed CreditRisk+ request `id` conditions on.
   std::uint64_t poisson_seed(RequestId id) const;
+
+  /// Stream-budget guard every compute path runs on each substream a
+  /// request used, once the request is done: throws StreamBudgetError
+  /// when `stream` consumed more than substream_stride outputs (`slot`
+  /// as in StreamBudgetError::slot()).
+  void check_budget(const rng::Philox& stream, RequestId id,
+                    std::uint64_t slot) const;
 
  private:
   ServeStatus validate(const GammaRequest& req) const;
@@ -238,8 +228,7 @@ class SamplingServer {
                         std::future<Result>* out, bool* cache_hit);
 
   ServeConfig cfg_;
-  rng::SubstreamSplitter splitter_;      ///< kJumpAhead derivation
-  rng::CounterSubstreams counter_streams_;  ///< kCounterBased derivation
+  rng::CounterSubstreams streams_;
   ServerMetrics metrics_;
   /// Response cache (cfg_.response_cache_entries; null when disabled).
   /// Declared before the scheduler/resident chain so in-flight jobs

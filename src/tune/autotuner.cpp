@@ -337,15 +337,13 @@ namespace {
 
 // Calibrated on the reference single-core host against
 // bench/serve_throughput (docs/TUNING.md documents the fit):
-//   * jump-ahead substream derivation: ~84 us/request (popcount(index)
-//     GF(2) matrix applies against the splitter's squaring chain);
-//   * counter-based derivation: ~29 ns (one Philox counter write);
-//   * per-sample compute: fitted so the modeled default mix reproduces
-//     the measured closed-loop ~4.8 krps;
+//   * counter-based substream derivation: ~29 ns (one Philox counter
+//     write);
+//   * per-sample compute: fitted against the measured closed-loop rate
+//     of the default mix;
 //   * per-obligor aggregation cost of a CreditRisk+ scenario;
 //   * scheduler dispatch overhead per batch, amortized over the batch.
-constexpr double kDeriveJumpSeconds = 8.4e-5;
-constexpr double kDeriveCounterSeconds = 2.9e-8;
+constexpr double kDeriveSeconds = 2.9e-8;
 constexpr double kSampleSeconds = 4.15e-8;
 constexpr double kObligorSeconds = 2.0e-8;
 constexpr double kDispatchSeconds = 2.0e-5;
@@ -356,7 +354,7 @@ constexpr double kModeledConcurrency = 4.0;
 
 }  // namespace
 
-double modeled_serve_rps(const ServeWorkloadSpec& spec, bool counter_based,
+double modeled_serve_rps(const ServeWorkloadSpec& spec,
                          std::size_t max_batch, std::size_t queue_capacity,
                          unsigned threads, std::size_t pipe_depth) {
   DWI_REQUIRE(threads >= 1, "serve model: need at least one thread");
@@ -365,23 +363,22 @@ double modeled_serve_rps(const ServeWorkloadSpec& spec, bool counter_based,
   DWI_REQUIRE(spec.gamma_fraction >= 0.0 && spec.gamma_fraction <= 1.0,
               "serve model: gamma_fraction must be in [0, 1]");
 
-  const double derive =
-      counter_based ? kDeriveCounterSeconds : kDeriveJumpSeconds;
   // Dispatch cost amortizes over the coalesced batch, but overlap is
   // bounded by the modeled concurrency of the drain loop.
   const double effective_batch = std::min(
       static_cast<double>(max_batch), kModeledConcurrency);
   const double dispatch = kDispatchSeconds / std::max(1.0, effective_batch);
 
-  const double t_gamma =
-      derive + static_cast<double>(spec.gamma_count) * kSampleSeconds +
-      dispatch;
+  const double t_gamma = kDeriveSeconds +
+                         static_cast<double>(spec.gamma_count) *
+                             kSampleSeconds +
+                         dispatch;
 
   double t_credit = 0.0;
   const double credit_fraction = 1.0 - spec.gamma_fraction;
   if (credit_fraction > 0.0) {
     const double sectors = static_cast<double>(spec.credit_sectors);
-    t_credit = derive * sectors +
+    t_credit = kDeriveSeconds * sectors +
                static_cast<double>(spec.credit_scenarios) *
                    (sectors * kSampleSeconds +
                     static_cast<double>(spec.credit_obligors) *
@@ -415,11 +412,6 @@ TuneResult tune_serve(const ServeWorkloadSpec& spec,
               "tune_serve: need at least one thread candidate");
 
   std::vector<Knob> knobs;
-  knobs.push_back(Knob{"counter_based",
-                       spec.allow_strategy_switch
-                           ? std::vector<std::uint64_t>{0, 1}
-                           : std::vector<std::uint64_t>{0},
-                       0});
   knobs.push_back(Knob{"max_batch", {1, 4, 16, 64}, 2});
   knobs.push_back(Knob{"queue_capacity", {16, 64, 256, 1024}, 2});
   {
@@ -435,14 +427,13 @@ TuneResult tune_serve(const ServeWorkloadSpec& spec,
                                      : std::vector<std::uint64_t>{8},
                        spec.resident ? 1u : 0u});
 
-  enum { kStrategy, kBatch, kQueue, kThreads, kPipe };
+  enum { kBatch, kQueue, kThreads, kPipe };
 
   const FeasibleFn feasible = [&](const Point& p) {
     return p[kBatch] <= p[kQueue];
   };
   const ObjectiveFn objective = [&](const Point& p) {
-    return modeled_serve_rps(spec, p[kStrategy] != 0,
-                             static_cast<std::size_t>(p[kBatch]),
+    return modeled_serve_rps(spec, static_cast<std::size_t>(p[kBatch]),
                              static_cast<std::size_t>(p[kQueue]),
                              static_cast<unsigned>(p[kThreads]),
                              static_cast<std::size_t>(p[kPipe]));
@@ -456,7 +447,6 @@ TuneResult tune_serve(const ServeWorkloadSpec& spec,
     cfg.workload = spec.resident ? "serve:resident" : "serve:classic";
     cfg.device = "host";
     cfg.seed = options.seed;
-    cfg.stream_strategy = p[kStrategy] != 0 ? "counter-based" : "jump-ahead";
     cfg.max_batch = static_cast<std::size_t>(p[kBatch]);
     cfg.queue_capacity = static_cast<std::size_t>(p[kQueue]);
     cfg.threads = static_cast<unsigned>(p[kThreads]);

@@ -15,8 +15,8 @@
 //   * fig5 (SIMT): {local size, global size} against the
 //     fixed-architecture runtime estimator. Feasibility = the OpenCL
 //     NDRange rule (local divides global).
-//   * serve (host): {stream strategy, batch window, queue bound,
-//     thread count, resident pipe depth} against a calibrated analytic
+//   * serve (host): {batch window, queue bound, thread count, resident
+//     pipe depth} against a calibrated analytic
 //     cost model (modeled_serve_rps below) — deterministic, so CI can
 //     gate on it without timing noise.
 //
@@ -107,11 +107,6 @@ struct ServeWorkloadSpec {
   /// Price the resident CreditRisk+ pipeline instead of the classic
   /// scheduler path (adds the pipe-depth knob).
   bool resident = false;
-  /// Let the tuner switch kJumpAhead → kCounterBased. The strategies
-  /// sample different (equally valid) stream families, so response
-  /// VALUES change — callers who must keep jump-ahead bytes opt out
-  /// and the tuner only moves value-preserving knobs.
-  bool allow_strategy_switch = true;
   /// Thread counts the deployment can actually use (the host's core
   /// budget); the tuner picks among these, never invents one.
   std::vector<unsigned> thread_candidates = {1};
@@ -119,7 +114,7 @@ struct ServeWorkloadSpec {
 
 /// Tune the serving configuration for `spec`. Objective:
 /// modeled_serve_rps. Default point: ServeConfig's defaults
-/// (jump-ahead, max_batch 16, queue 256, 1 thread, pipe depth 8).
+/// (max_batch 16, queue 256, 1 thread, pipe depth 8).
 TuneResult tune_serve(const ServeWorkloadSpec& spec,
                       const TunerOptions& options = {});
 
@@ -128,7 +123,7 @@ TuneResult tune_serve(const ServeWorkloadSpec& spec,
 /// dispatch, scaled by Amdahl thread speedup and the queue-starvation
 /// factor; constants calibrated against bench/serve_throughput on the
 /// reference host (docs/TUNING.md lists them with their provenance).
-double modeled_serve_rps(const ServeWorkloadSpec& spec, bool counter_based,
+double modeled_serve_rps(const ServeWorkloadSpec& spec,
                          std::size_t max_batch, std::size_t queue_capacity,
                          unsigned threads, std::size_t pipe_depth);
 

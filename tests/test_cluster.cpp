@@ -312,7 +312,6 @@ TEST(ClusterDeterminism, CounterBasedMatrixMatchesSingleShard) {
   serve::ClusterConfig cfg;
   cfg.shard.server_seed = 7;
   cfg.shard.queue_capacity = items.size() + 1;
-  cfg.shard.stream_strategy = rng::StreamStrategy::kCounterBased;
 
   cfg.num_shards = 1;
   ServedResults reference;
@@ -611,7 +610,6 @@ TEST(ClusterOfflineReproduction, SeekRecomputesServedResponsesByteExact) {
   serve::ClusterConfig cfg;
   cfg.num_shards = 4;
   cfg.shard.server_seed = 42;
-  cfg.shard.stream_strategy = rng::StreamStrategy::kCounterBased;
   serve::ShardedSamplingServer cluster(cfg);
 
   serve::GammaRequest greq;
@@ -657,7 +655,7 @@ TEST(ClusterOfflineReproduction, SeekRecomputesServedResponsesByteExact) {
                                 static_cast<float>(
                                     portfolio.sectors()[k].variance)),
                             rng::NormalTransform::kMarsagliaBray),
-          cluster.sector_counter_stream(creq.id, k)});
+          cluster.sector_stream(creq.id, k)});
     }
     const finance::GammaSource source =
         [&streams](std::uint64_t, std::size_t sector) -> double {

@@ -7,19 +7,16 @@
 //   * SubstreamSplitter serves order-independent jump-ahead substreams
 //     that tile the master sequence;
 //   * the SIMT runtime estimate and GammaWorkItem streams do not
-//     depend on the thread count;
-//   * SpscRingBuffer passes every element exactly once across threads.
+//     depend on the thread count.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
 #include <numeric>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 #include "common/error.h"
-#include "common/spsc_ring_buffer.h"
 #include "core/gamma_work_item.h"
 #include "exec/parallel_for.h"
 #include "exec/thread_pool.h"
@@ -380,53 +377,6 @@ TEST(RuntimeEstimator, ResultIsThreadCountInvariant) {
     EXPECT_EQ(serial.rejection_rate, parallel.rejection_rate);
     EXPECT_EQ(serial.slots_per_output, parallel.slots_per_output);
   }
-}
-
-// ---------------------------------------------------------------------
-// SpscRingBuffer
-// ---------------------------------------------------------------------
-
-TEST(SpscRingBuffer, SingleThreadedFullEmpty) {
-  SpscRingBuffer<int> q(3);
-  EXPECT_EQ(q.capacity(), 3u);
-  EXPECT_TRUE(q.empty());
-  EXPECT_TRUE(q.try_push(1));
-  EXPECT_TRUE(q.try_push(2));
-  EXPECT_TRUE(q.try_push(3));
-  EXPECT_FALSE(q.try_push(4));  // full
-  int v = 0;
-  EXPECT_TRUE(q.try_pop(v));
-  EXPECT_EQ(v, 1);
-  EXPECT_TRUE(q.try_push(4));  // slot freed
-  for (const int expect : {2, 3, 4}) {
-    ASSERT_TRUE(q.try_pop(v));
-    ASSERT_EQ(v, expect);
-  }
-  EXPECT_FALSE(q.try_pop(v));  // empty
-}
-
-TEST(SpscRingBuffer, PassesEveryElementInOrderAcrossThreads) {
-  constexpr int kCount = 200'000;
-  SpscRingBuffer<int> q(64);
-  std::thread producer([&] {
-    for (int i = 0; i < kCount; ++i) {
-      while (!q.try_push(i)) std::this_thread::yield();
-    }
-  });
-  long long sum = 0;
-  int expected = 0;
-  while (expected < kCount) {
-    int v = 0;
-    if (q.try_pop(v)) {
-      ASSERT_EQ(v, expected);  // strict FIFO
-      sum += v;
-      ++expected;
-    } else {
-      std::this_thread::yield();
-    }
-  }
-  producer.join();
-  EXPECT_EQ(sum, static_cast<long long>(kCount) * (kCount - 1) / 2);
 }
 
 }  // namespace

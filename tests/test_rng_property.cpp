@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 #include <random>
 #include <span>
 #include <vector>
@@ -30,6 +31,11 @@ struct MtCase {
   bool use_521;
   std::uint32_t seed;
 };
+
+// Without this, gtest prints the parameter as a raw byte dump, which
+// holds the address of `name` and makes the discovered test names
+// change with every build.
+void PrintTo(const MtCase& param, std::ostream* os) { *os << param.name; }
 
 class MtEquidistribution : public ::testing::TestWithParam<MtCase> {};
 

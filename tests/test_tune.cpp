@@ -155,22 +155,17 @@ TEST(Autotuner, Fig5RespectsNdRangeRuleAndNeverLoses) {
 
 // ---- serve tuner -----------------------------------------------------
 
-TEST(Autotuner, ServeStrategyLockKeepsJumpAhead) {
-  // Opting out of the strategy switch (responses must keep jump-ahead
-  // bytes) restricts the search to value-preserving knobs.
+TEST(Autotuner, ServeTunedNeverLosesToDefaults) {
+  // Every serve knob preserves response values, so the search may move
+  // all of them; with more cores on offer it takes them.
   ServeWorkloadSpec spec;
-  spec.allow_strategy_switch = false;
+  spec.thread_candidates = {1, 2, 4};
   const TuneResult r = tune_serve(spec, fast_options());
-  EXPECT_EQ(r.best.stream_strategy, "jump-ahead");
   EXPECT_TRUE(r.best.feasible);
-}
-
-TEST(Autotuner, ServeModelPrefersCounterDerivation) {
-  ServeWorkloadSpec spec;
-  const double jump = modeled_serve_rps(spec, false, 16, 256, 1, 8);
-  const double counter = modeled_serve_rps(spec, true, 16, 256, 1, 8);
-  EXPECT_GT(jump, 0.0);
-  EXPECT_GT(counter, jump);
+  EXPECT_GE(r.best.modeled_throughput, r.fallback.modeled_throughput);
+  EXPECT_EQ(r.best.threads, 4u);
+  EXPECT_DOUBLE_EQ(r.fallback.modeled_throughput,
+                   modeled_serve_rps(spec, 16, 256, 1, 8));
 }
 
 // ---- TunedConfig wire format -----------------------------------------
@@ -191,7 +186,6 @@ TEST(TunedConfigFormat, RoundTripsEveryField) {
   cfg.max_batch = 64;
   cfg.queue_capacity = 1024;
   cfg.pipe_depth = 32;
-  cfg.stream_strategy = "counter-based";
   cfg.modeled_throughput = 1478712039.25;
   cfg.feasible = true;
   const std::string text = format_tuned_config(cfg);
@@ -200,7 +194,6 @@ TEST(TunedConfigFormat, RoundTripsEveryField) {
   EXPECT_EQ(back.workload, cfg.workload);
   EXPECT_EQ(back.stream_depth, cfg.stream_depth);
   EXPECT_EQ(back.cycle_skipping, cfg.cycle_skipping);
-  EXPECT_EQ(back.stream_strategy, cfg.stream_strategy);
   EXPECT_DOUBLE_EQ(back.modeled_throughput, cfg.modeled_throughput);
 }
 
@@ -209,6 +202,10 @@ TEST(TunedConfigFormat, RejectsMalformedInput) {
   EXPECT_THROW((void)parse_tuned_config("nonsense v9\n"), dwi::Error);
   EXPECT_THROW((void)parse_tuned_config(good + "mystery_knob=3\n"),
                dwi::Error);
+  // The retired serve strategy knob is an unknown key like any other.
+  EXPECT_THROW(
+      (void)parse_tuned_config(good + "stream_strategy=counter-based\n"),
+      dwi::Error);
   EXPECT_THROW((void)parse_tuned_config(good + "work_items=eight\n"),
                dwi::Error);
   EXPECT_THROW(
