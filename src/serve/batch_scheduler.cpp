@@ -8,34 +8,6 @@
 
 namespace dwi::serve {
 
-static_assert(kNumRequestKinds <= kMaxRequestKinds,
-              "serve/metrics.h per-kind counter arrays are too small for "
-              "the RequestKind enum — bump kMaxRequestKinds");
-
-const char* to_string(RequestKind kind) {
-  switch (kind) {
-    case RequestKind::kGamma:
-      return "gamma";
-    case RequestKind::kCreditRisk:
-      return "creditrisk";
-    case RequestKind::kHistogram:
-      return "histogram";
-    case RequestKind::kSpmv:
-      return "spmv";
-    case RequestKind::kMatching:
-      return "matching";
-  }
-  return "unknown";
-}
-
-std::optional<RequestKind> parse_request_kind(std::string_view name) {
-  for (std::size_t i = 0; i < kNumRequestKinds; ++i) {
-    const auto kind = static_cast<RequestKind>(i);
-    if (name == to_string(kind)) return kind;
-  }
-  return std::nullopt;
-}
-
 BatchScheduler::BatchScheduler(SchedulerConfig cfg, ServerMetrics* metrics)
     : cfg_(cfg), metrics_(metrics), queue_(cfg.queue_capacity) {
   DWI_REQUIRE(cfg.queue_capacity > 0, "serve: queue capacity must be > 0");

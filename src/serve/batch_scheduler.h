@@ -29,8 +29,6 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
-#include <optional>
-#include <string_view>
 #include <thread>
 
 #include "common/ring_buffer.h"
@@ -38,29 +36,6 @@
 #include "serve/request.h"
 
 namespace dwi::serve {
-
-/// Workload class of a job; only same-kind jobs share a batch (they
-/// have comparable per-request cost, which keeps batch tail latency
-/// predictable). The fixed std::uint8_t base lets headers that only
-/// name the kind (serve/metrics.h) forward-declare it.
-enum class RequestKind : std::uint8_t {
-  kGamma,       ///< Marsaglia-Tsang gamma batch (the paper's kernel)
-  kCreditRisk,  ///< CreditRisk+ loss distribution
-  kHistogram,   ///< hazard-aware histogram (src/workloads)
-  kSpmv,        ///< CSR SpMV with data-dependent trip counts
-  kMatching,    ///< greedy maximal matching with a dynamic loop bound
-};
-
-/// Number of RequestKind members; keep in sync with the enum (the
-/// exhaustive switches in to_string/parse are the compile-time check).
-inline constexpr std::size_t kNumRequestKinds = 5;
-
-/// Stable wire/JSON name of a kind — metrics and bench artifacts key
-/// per-kind numbers by this instead of raw enum integers.
-const char* to_string(RequestKind kind);
-
-/// Round-trip inverse of to_string(); nullopt on unknown names.
-std::optional<RequestKind> parse_request_kind(std::string_view name);
 
 /// One admitted unit of work. `run` executes the request and fulfills
 /// its promise; it must not throw (wrap failures into the promise).

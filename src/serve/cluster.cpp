@@ -1,7 +1,6 @@
 #include "serve/cluster.h"
 
 #include <algorithm>
-#include <string>
 #include <utility>
 
 #include "common/error.h"
@@ -28,6 +27,41 @@ std::uint64_t vnode_point(std::size_t shard, std::size_t vnode) {
 }
 
 }  // namespace
+
+ModeledLoad modeled_load(const GammaRequest& req) {
+  // Model the launch the way CreditRisk+ sizes gammas: shape alpha
+  // corresponds to sector variance 1/alpha.
+  return {req.count, req.alpha > 0.0f ? 1.0f / req.alpha : 1.0f};
+}
+
+ModeledLoad modeled_load(const CreditRiskRequest& req) {
+  if (!req.portfolio || req.portfolio->num_sectors() == 0) {
+    return {req.num_scenarios, 1.0f};
+  }
+  double sum = 0.0;
+  for (const auto& sector : req.portfolio->sectors()) sum += sector.variance;
+  const std::size_t sectors = req.portfolio->num_sectors();
+  return {req.num_scenarios * sectors,
+          static_cast<float>(sum / static_cast<double>(sectors))};
+}
+
+ModeledLoad modeled_load(const HistogramRequest& req) {
+  // One modeled output per update; divergence knob maps to variance
+  // like gamma shape does (hotter traces stall more on real hardware).
+  return {req.num_updates, 1.0f + req.hot_fraction};
+}
+
+ModeledLoad modeled_load(const SpmvRequest& req) {
+  // Expected nnz: rows × midpoint of the per-row occupancy range.
+  const std::uint64_t outputs =
+      std::uint64_t{req.rows} *
+      ((std::uint64_t{req.nnz_per_row_min} + req.nnz_per_row_max + 1) / 2);
+  return {std::max<std::uint64_t>(outputs, req.rows), 1.0f};
+}
+
+ModeledLoad modeled_load(const MatchingRequest& req) {
+  return {req.num_edges, 1.0f};
+}
 
 const char* to_string(RouterPolicy policy) {
   switch (policy) {
@@ -162,184 +196,6 @@ std::vector<std::size_t> ShardedSamplingServer::placement_order(
   order.reserve(load.size());
   for (const auto& [depth, index] : load) order.push_back(index);
   return order;
-}
-
-template <typename Request, typename Result>
-ServeStatus ShardedSamplingServer::route(const Request& req,
-                                         std::future<Result>* out,
-                                         std::uint64_t modeled_outputs,
-                                         float sector_variance) {
-  submitted_.fetch_add(1, std::memory_order_relaxed);
-  if (!accepting_.load(std::memory_order_acquire)) {
-    rejected_shutdown_.fetch_add(1, std::memory_order_relaxed);
-    return ServeStatus::kShuttingDown;
-  }
-  const std::vector<std::size_t> order = placement_order(req.id);
-  // Without stealing only the placed shard is tried; with it, a full
-  // primary falls through to the rest of the placement order.
-  const std::size_t candidates = cfg_.steal ? order.size() : 1;
-  for (std::size_t i = 0; i < candidates; ++i) {
-    Shard& shard = *shards_[order[i]];
-    bool cache_hit = false;
-    const ServeStatus status = shard.server->try_submit(req, out, &cache_hit);
-    switch (status) {
-      case ServeStatus::kAdmitted:
-        admitted_.fetch_add(1, std::memory_order_relaxed);
-        if (i == 0) {
-          shard.routed_primary.fetch_add(1, std::memory_order_relaxed);
-        } else {
-          shard.stolen_in.fetch_add(1, std::memory_order_relaxed);
-          stolen_.fetch_add(1, std::memory_order_relaxed);
-        }
-        // A cached answer never reached the device: charging the
-        // modeled timeline for it would overstate occupancy and skew
-        // capacity planning, so accounting is for computed work only.
-        if (cfg_.model_devices && !cache_hit) {
-          shard.backend->account(modeled_outputs, sector_variance);
-        }
-        return status;
-      case ServeStatus::kQueueFull:
-        continue;  // retry-on-next-shard (or fall out of the loop)
-      case ServeStatus::kInvalidRequest:
-        rejected_invalid_.fetch_add(1, std::memory_order_relaxed);
-        return status;
-      case ServeStatus::kShuttingDown:
-        rejected_shutdown_.fetch_add(1, std::memory_order_relaxed);
-        return status;
-    }
-  }
-  rejected_full_.fetch_add(1, std::memory_order_relaxed);
-  return ServeStatus::kQueueFull;
-}
-
-ServeStatus ShardedSamplingServer::try_submit(const GammaRequest& req,
-                                              std::future<GammaResult>* out) {
-  DWI_ASSERT(out != nullptr);
-  // Model the launch the way CreditRisk+ sizes gammas: shape alpha
-  // corresponds to sector variance 1/alpha.
-  const float variance = req.alpha > 0.0f ? 1.0f / req.alpha : 1.0f;
-  return route<GammaRequest, GammaResult>(req, out, req.count, variance);
-}
-
-ServeStatus ShardedSamplingServer::try_submit(
-    const CreditRiskRequest& req, std::future<CreditRiskResult>* out) {
-  DWI_ASSERT(out != nullptr);
-  std::uint64_t outputs = req.num_scenarios;
-  float variance = 1.0f;
-  if (req.portfolio && req.portfolio->num_sectors() > 0) {
-    outputs = req.num_scenarios * req.portfolio->num_sectors();
-    double sum = 0.0;
-    for (const auto& sector : req.portfolio->sectors()) {
-      sum += sector.variance;
-    }
-    variance = static_cast<float>(
-        sum / static_cast<double>(req.portfolio->num_sectors()));
-  }
-  return route<CreditRiskRequest, CreditRiskResult>(req, out, outputs,
-                                                    variance);
-}
-
-ServeStatus ShardedSamplingServer::try_submit(
-    const HistogramRequest& req, std::future<HistogramResult>* out) {
-  DWI_ASSERT(out != nullptr);
-  // One modeled output per update; divergence knob maps to variance
-  // like gamma shape does (hotter traces stall more on real hardware).
-  return route<HistogramRequest, HistogramResult>(
-      req, out, req.num_updates, 1.0f + req.hot_fraction);
-}
-
-ServeStatus ShardedSamplingServer::try_submit(const SpmvRequest& req,
-                                              std::future<SpmvResult>* out) {
-  DWI_ASSERT(out != nullptr);
-  // Expected nnz: rows × midpoint of the per-row occupancy range.
-  const std::uint64_t outputs =
-      std::uint64_t{req.rows} *
-      ((std::uint64_t{req.nnz_per_row_min} + req.nnz_per_row_max + 1) / 2);
-  return route<SpmvRequest, SpmvResult>(req, out, std::max<std::uint64_t>(
-                                                      outputs, req.rows),
-                                        1.0f);
-}
-
-ServeStatus ShardedSamplingServer::try_submit(
-    const MatchingRequest& req, std::future<MatchingResult>* out) {
-  DWI_ASSERT(out != nullptr);
-  return route<MatchingRequest, MatchingResult>(req, out, req.num_edges, 1.0f);
-}
-
-std::future<GammaResult> ShardedSamplingServer::submit(
-    const GammaRequest& req) {
-  std::future<GammaResult> f;
-  const ServeStatus s = try_submit(req, &f);
-  if (s != ServeStatus::kAdmitted) {
-    throw RejectedError(
-        s, std::string("cluster: gamma request rejected: ") + to_string(s));
-  }
-  return f;
-}
-
-std::future<CreditRiskResult> ShardedSamplingServer::submit(
-    const CreditRiskRequest& req) {
-  std::future<CreditRiskResult> f;
-  const ServeStatus s = try_submit(req, &f);
-  if (s != ServeStatus::kAdmitted) {
-    throw RejectedError(
-        s, std::string("cluster: credit-risk request rejected: ") +
-               to_string(s));
-  }
-  return f;
-}
-
-std::future<HistogramResult> ShardedSamplingServer::submit(
-    const HistogramRequest& req) {
-  std::future<HistogramResult> f;
-  const ServeStatus s = try_submit(req, &f);
-  if (s != ServeStatus::kAdmitted) {
-    throw RejectedError(
-        s, std::string("cluster: histogram request rejected: ") +
-               to_string(s));
-  }
-  return f;
-}
-
-std::future<SpmvResult> ShardedSamplingServer::submit(const SpmvRequest& req) {
-  std::future<SpmvResult> f;
-  const ServeStatus s = try_submit(req, &f);
-  if (s != ServeStatus::kAdmitted) {
-    throw RejectedError(
-        s, std::string("cluster: spmv request rejected: ") + to_string(s));
-  }
-  return f;
-}
-
-std::future<MatchingResult> ShardedSamplingServer::submit(
-    const MatchingRequest& req) {
-  std::future<MatchingResult> f;
-  const ServeStatus s = try_submit(req, &f);
-  if (s != ServeStatus::kAdmitted) {
-    throw RejectedError(
-        s, std::string("cluster: matching request rejected: ") + to_string(s));
-  }
-  return f;
-}
-
-GammaResult ShardedSamplingServer::run(const GammaRequest& req) {
-  return submit(req).get();
-}
-
-CreditRiskResult ShardedSamplingServer::run(const CreditRiskRequest& req) {
-  return submit(req).get();
-}
-
-HistogramResult ShardedSamplingServer::run(const HistogramRequest& req) {
-  return submit(req).get();
-}
-
-SpmvResult ShardedSamplingServer::run(const SpmvRequest& req) {
-  return submit(req).get();
-}
-
-MatchingResult ShardedSamplingServer::run(const MatchingRequest& req) {
-  return submit(req).get();
 }
 
 ClusterSnapshot ShardedSamplingServer::metrics() const {

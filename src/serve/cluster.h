@@ -44,11 +44,27 @@
 #include <string>
 #include <vector>
 
+#include "common/error.h"
 #include "minicl/shard_backend.h"
 #include "serve/request.h"
 #include "serve/sampling_server.h"
 
 namespace dwi::serve {
+
+/// The launch the router mirrors onto a shard's modeled device for one
+/// computed request (minicl::ShardBackend::account).
+struct ModeledLoad {
+  std::uint64_t outputs = 0;
+  float sector_variance = 1.0f;
+};
+
+/// Per-kind launch shape of a request: its modeled output count and
+/// the sector variance that prices its rejection rate.
+ModeledLoad modeled_load(const GammaRequest& req);
+ModeledLoad modeled_load(const CreditRiskRequest& req);
+ModeledLoad modeled_load(const HistogramRequest& req);
+ModeledLoad modeled_load(const SpmvRequest& req);
+ModeledLoad modeled_load(const MatchingRequest& req);
 
 /// How the router places a request's primary shard.
 enum class RouterPolicy { kConsistentHash, kLeastLoaded };
@@ -163,27 +179,24 @@ class ShardedSamplingServer {
   /// Non-blocking admission through the router; same contract as
   /// SamplingServer::try_submit. kQueueFull means every candidate
   /// shard (one without stealing) was full.
-  ServeStatus try_submit(const GammaRequest& req,
-                         std::future<GammaResult>* out);
-  ServeStatus try_submit(const CreditRiskRequest& req,
-                         std::future<CreditRiskResult>* out);
-  ServeStatus try_submit(const HistogramRequest& req,
-                         std::future<HistogramResult>* out);
-  ServeStatus try_submit(const SpmvRequest& req, std::future<SpmvResult>* out);
-  ServeStatus try_submit(const MatchingRequest& req,
-                         std::future<MatchingResult>* out);
+  template <ServeRequest Request>
+  ServeStatus try_submit(const Request& req,
+                         std::future<ResultOf<Request>>* out);
 
   /// Throwing / synchronous wrappers, as on SamplingServer.
-  std::future<GammaResult> submit(const GammaRequest& req);
-  std::future<CreditRiskResult> submit(const CreditRiskRequest& req);
-  std::future<HistogramResult> submit(const HistogramRequest& req);
-  std::future<SpmvResult> submit(const SpmvRequest& req);
-  std::future<MatchingResult> submit(const MatchingRequest& req);
-  GammaResult run(const GammaRequest& req);
-  CreditRiskResult run(const CreditRiskRequest& req);
-  HistogramResult run(const HistogramRequest& req);
-  SpmvResult run(const SpmvRequest& req);
-  MatchingResult run(const MatchingRequest& req);
+  template <ServeRequest Request>
+  std::future<ResultOf<Request>> submit(const Request& req) {
+    std::future<ResultOf<Request>> f;
+    const ServeStatus s = try_submit(req, &f);
+    if (s != ServeStatus::kAdmitted) {
+      throw_rejected("cluster", kind_of<Request>, s);
+    }
+    return f;
+  }
+  template <ServeRequest Request>
+  ResultOf<Request> run(const Request& req) {
+    return submit(req).get();
+  }
 
   /// Stop admitting cluster-wide, then drain every shard. Idempotent.
   void shutdown();
@@ -217,10 +230,6 @@ class ShardedSamplingServer {
     std::atomic<std::uint64_t> stolen_in{0};
   };
 
-  template <typename Request, typename Result>
-  ServeStatus route(const Request& req, std::future<Result>* out,
-                    std::uint64_t modeled_outputs, float sector_variance);
-
   ClusterConfig cfg_;
   ConsistentHashRing ring_;
   std::vector<std::unique_ptr<Shard>> shards_;
@@ -232,5 +241,53 @@ class ShardedSamplingServer {
   std::atomic<std::uint64_t> rejected_invalid_{0};
   std::atomic<std::uint64_t> rejected_shutdown_{0};
 };
+
+template <ServeRequest Request>
+ServeStatus ShardedSamplingServer::try_submit(
+    const Request& req, std::future<ResultOf<Request>>* out) {
+  DWI_ASSERT(out != nullptr);
+  submitted_.fetch_add(1, std::memory_order_relaxed);
+  if (!accepting_.load(std::memory_order_acquire)) {
+    rejected_shutdown_.fetch_add(1, std::memory_order_relaxed);
+    return ServeStatus::kShuttingDown;
+  }
+  const std::vector<std::size_t> order = placement_order(req.id);
+  // Without stealing only the placed shard is tried; with it, a full
+  // primary falls through to the rest of the placement order.
+  const std::size_t candidates = cfg_.steal ? order.size() : 1;
+  for (std::size_t i = 0; i < candidates; ++i) {
+    Shard& shard = *shards_[order[i]];
+    bool cache_hit = false;
+    const ServeStatus status = shard.server->try_submit(req, out, &cache_hit);
+    switch (status) {
+      case ServeStatus::kAdmitted:
+        admitted_.fetch_add(1, std::memory_order_relaxed);
+        if (i == 0) {
+          shard.routed_primary.fetch_add(1, std::memory_order_relaxed);
+        } else {
+          shard.stolen_in.fetch_add(1, std::memory_order_relaxed);
+          stolen_.fetch_add(1, std::memory_order_relaxed);
+        }
+        // A cached answer never reached the device: charging the
+        // modeled timeline for it would overstate occupancy and skew
+        // capacity planning, so accounting is for computed work only.
+        if (cfg_.model_devices && !cache_hit) {
+          const ModeledLoad load = modeled_load(req);
+          shard.backend->account(load.outputs, load.sector_variance);
+        }
+        return status;
+      case ServeStatus::kQueueFull:
+        continue;  // retry-on-next-shard (or fall out of the loop)
+      case ServeStatus::kInvalidRequest:
+        rejected_invalid_.fetch_add(1, std::memory_order_relaxed);
+        return status;
+      case ServeStatus::kShuttingDown:
+        rejected_shutdown_.fetch_add(1, std::memory_order_relaxed);
+        return status;
+    }
+  }
+  rejected_full_.fetch_add(1, std::memory_order_relaxed);
+  return ServeStatus::kQueueFull;
+}
 
 }  // namespace dwi::serve

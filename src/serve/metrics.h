@@ -18,17 +18,15 @@
 
 namespace dwi::serve {
 
-// Defined in serve/batch_scheduler.h (which includes this header); the
-// recorder only passes kinds through, so the forward declaration of the
-// fixed-base enum suffices.
-enum class RequestKind : std::uint8_t;
-
 /// Capacity of the per-kind counter arrays below. Deliberately a
-/// little above kNumRequestKinds (static_asserted in
-/// batch_scheduler.cpp) so growing the enum does not ripple through
-/// every snapshot consumer; index with static_cast<std::size_t>(kind)
-/// and name rows via to_string(RequestKind).
+/// little above kNumRequestKinds so growing the enum does not ripple
+/// through every snapshot consumer; index with
+/// static_cast<std::size_t>(kind) and name rows via
+/// to_string(RequestKind).
 inline constexpr std::size_t kMaxRequestKinds = 8;
+static_assert(kNumRequestKinds <= kMaxRequestKinds,
+              "per-kind counter arrays are too small for the RequestKind "
+              "enum — bump kMaxRequestKinds");
 
 /// Order statistics over a latency sample set (nearest-rank
 /// percentiles, the convention load-testing tools report).

@@ -11,9 +11,14 @@
 // count. See docs/SERVE.md for the determinism contract.
 #pragma once
 
+#include <compare>
+#include <concepts>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/error.h"
@@ -28,6 +33,29 @@ namespace dwi::serve {
 /// want statistically independent results (reusing an id deliberately
 /// replays the exact same stream — useful for idempotent retries).
 using RequestId = std::uint64_t;
+
+/// Workload class of a request; only same-kind jobs share a batch
+/// (they have comparable per-request cost, which keeps batch tail
+/// latency predictable). KindTraits below maps each request type to
+/// its kind.
+enum class RequestKind : std::uint8_t {
+  kGamma,       ///< Marsaglia-Tsang gamma batch (the paper's kernel)
+  kCreditRisk,  ///< CreditRisk+ loss distribution
+  kHistogram,   ///< hazard-aware histogram (src/workloads)
+  kSpmv,        ///< CSR SpMV with data-dependent trip counts
+  kMatching,    ///< greedy maximal matching with a dynamic loop bound
+};
+
+/// Number of RequestKind members; keep in sync with the enum (the
+/// exhaustive switches in to_string/parse are the compile-time check).
+inline constexpr std::size_t kNumRequestKinds = 5;
+
+/// Stable wire/JSON name of a kind — metrics and bench artifacts key
+/// per-kind numbers by this instead of raw enum integers.
+const char* to_string(RequestKind kind);
+
+/// Round-trip inverse of to_string(); nullopt on unknown names.
+std::optional<RequestKind> parse_request_kind(std::string_view name);
 
 /// Admission verdict for a submission attempt.
 enum class ServeStatus {
@@ -51,6 +79,11 @@ class RejectedError : public Error {
  private:
   ServeStatus status_;
 };
+
+/// Throws the RejectedError the throwing submit() wrappers raise:
+/// "<layer>: <kind> request rejected: <status>".
+[[noreturn]] void throw_rejected(const char* layer, RequestKind kind,
+                                 ServeStatus status);
 
 /// Typed failure of an admitted request whose compute consumed more
 /// than ServeConfig::substream_stride outputs from one of its
@@ -85,6 +118,8 @@ struct GammaRequest {
   /// Uniform→normal transform for the nested sampler (§II-D3). The
   /// default is the paper's Config1/2 choice.
   rng::NormalTransform transform = rng::NormalTransform::kMarsagliaBray;
+
+  auto operator<=>(const GammaRequest&) const = default;
 };
 
 struct GammaResult {
@@ -101,6 +136,8 @@ struct CreditRiskRequest {
   RequestId id = 0;
   std::shared_ptr<const finance::Portfolio> portfolio;
   std::uint64_t num_scenarios = 0;  ///< must be in [2, max]
+
+  auto operator<=>(const CreditRiskRequest&) const = default;
 };
 
 struct CreditRiskResult {
@@ -142,6 +179,8 @@ struct HistogramRequest {
   /// Fraction of updates hitting bin 0 — the RAW-collision knob.
   float hot_fraction = 0.0f;      ///< must be in [0, 1]
   workloads::SchedulingMode mode = workloads::SchedulingMode::kDynamic;
+
+  auto operator<=>(const HistogramRequest&) const = default;
 };
 
 struct HistogramResult {
@@ -159,6 +198,8 @@ struct SpmvRequest {
   std::uint32_t nnz_per_row_min = 0;
   std::uint32_t nnz_per_row_max = 8;  ///< >= min, <= max limit
   workloads::SchedulingMode mode = workloads::SchedulingMode::kDynamic;
+
+  auto operator<=>(const SpmvRequest&) const = default;
 };
 
 struct SpmvResult {
@@ -177,6 +218,8 @@ struct MatchingRequest {
   /// Pair quota turning the loop bound dynamic (0 = full pass).
   std::uint32_t target_pairs = 0;
   workloads::SchedulingMode mode = workloads::SchedulingMode::kDynamic;
+
+  auto operator<=>(const MatchingRequest&) const = default;
 };
 
 struct MatchingResult {
@@ -186,5 +229,51 @@ struct MatchingResult {
   std::uint64_t edges_examined = 0;
   WorkloadStatsResult stats;
 };
+
+/// The request-kind trait table: each request type's RequestKind tag
+/// and result type. Every per-kind layer (server admission, cluster
+/// routing, response cache) is one template over this table; what
+/// really differs per kind lives in the validate()/compute()/
+/// modeled_load() overloads.
+template <typename Request>
+struct KindTraits;
+
+template <>
+struct KindTraits<GammaRequest> {
+  static constexpr RequestKind kind = RequestKind::kGamma;
+  using Result = GammaResult;
+};
+template <>
+struct KindTraits<CreditRiskRequest> {
+  static constexpr RequestKind kind = RequestKind::kCreditRisk;
+  using Result = CreditRiskResult;
+};
+template <>
+struct KindTraits<HistogramRequest> {
+  static constexpr RequestKind kind = RequestKind::kHistogram;
+  using Result = HistogramResult;
+};
+template <>
+struct KindTraits<SpmvRequest> {
+  static constexpr RequestKind kind = RequestKind::kSpmv;
+  using Result = SpmvResult;
+};
+template <>
+struct KindTraits<MatchingRequest> {
+  static constexpr RequestKind kind = RequestKind::kMatching;
+  using Result = MatchingResult;
+};
+
+/// A type with a KindTraits entry, i.e. one of the served requests.
+template <typename Request>
+concept ServeRequest = requires {
+  { KindTraits<Request>::kind } -> std::convertible_to<RequestKind>;
+};
+
+template <ServeRequest Request>
+using ResultOf = typename KindTraits<Request>::Result;
+
+template <ServeRequest Request>
+inline constexpr RequestKind kind_of = KindTraits<Request>::kind;
 
 }  // namespace dwi::serve

@@ -2,106 +2,11 @@
 
 namespace dwi::serve {
 
-ResponseCache::ResponseCache(std::size_t max_entries)
-    : max_entries_(max_entries) {}
-
-ResponseCache::GammaKey ResponseCache::key_of(const GammaRequest& req) {
-  return {req.id, req.alpha, req.scale, req.count,
-          static_cast<int>(req.transform)};
-}
-
-ResponseCache::CreditKey ResponseCache::key_of(const CreditRiskRequest& req) {
-  return {req.id, req.portfolio.get(), req.num_scenarios};
-}
-
-ResponseCache::HistogramKey ResponseCache::key_of(
-    const HistogramRequest& req) {
-  return {req.id, req.num_updates, req.num_bins, req.hot_fraction,
-          static_cast<int>(req.mode)};
-}
-
-ResponseCache::SpmvKey ResponseCache::key_of(const SpmvRequest& req) {
-  return {req.id, req.rows, req.nnz_per_row_min, req.nnz_per_row_max,
-          static_cast<int>(req.mode)};
-}
-
-ResponseCache::MatchingKey ResponseCache::key_of(const MatchingRequest& req) {
-  return {req.id, req.num_vertices, req.num_edges, req.target_pairs,
-          static_cast<int>(req.mode)};
-}
-
-bool ResponseCache::lookup(const GammaRequest& req, GammaResult* out) {
-  if (max_entries_ == 0) return false;
-  std::lock_guard<std::mutex> lock(mutex_);
-  return gamma_.find(key_of(req), out);
-}
-
-bool ResponseCache::lookup(const CreditRiskRequest& req,
-                           CreditRiskResult* out) {
-  if (max_entries_ == 0) return false;
-  std::lock_guard<std::mutex> lock(mutex_);
-  CreditEntry entry;
-  if (!credit_.find(key_of(req), &entry)) return false;
-  *out = entry.result;
-  return true;
-}
-
-bool ResponseCache::lookup(const HistogramRequest& req, HistogramResult* out) {
-  if (max_entries_ == 0) return false;
-  std::lock_guard<std::mutex> lock(mutex_);
-  return histogram_.find(key_of(req), out);
-}
-
-bool ResponseCache::lookup(const SpmvRequest& req, SpmvResult* out) {
-  if (max_entries_ == 0) return false;
-  std::lock_guard<std::mutex> lock(mutex_);
-  return spmv_.find(key_of(req), out);
-}
-
-bool ResponseCache::lookup(const MatchingRequest& req, MatchingResult* out) {
-  if (max_entries_ == 0) return false;
-  std::lock_guard<std::mutex> lock(mutex_);
-  return matching_.find(key_of(req), out);
-}
-
-void ResponseCache::insert(const GammaRequest& req, const GammaResult& result) {
-  if (max_entries_ == 0) return;
-  std::lock_guard<std::mutex> lock(mutex_);
-  gamma_.put(key_of(req), result, max_entries_);
-}
-
-void ResponseCache::insert(const CreditRiskRequest& req,
-                           const CreditRiskResult& result) {
-  if (max_entries_ == 0) return;
-  std::lock_guard<std::mutex> lock(mutex_);
-  credit_.put(key_of(req), CreditEntry{result, req.portfolio}, max_entries_);
-}
-
-void ResponseCache::insert(const HistogramRequest& req,
-                           const HistogramResult& result) {
-  if (max_entries_ == 0) return;
-  std::lock_guard<std::mutex> lock(mutex_);
-  histogram_.put(key_of(req), result, max_entries_);
-}
-
-void ResponseCache::insert(const SpmvRequest& req, const SpmvResult& result) {
-  if (max_entries_ == 0) return;
-  std::lock_guard<std::mutex> lock(mutex_);
-  spmv_.put(key_of(req), result, max_entries_);
-}
-
-void ResponseCache::insert(const MatchingRequest& req,
-                           const MatchingResult& result) {
-  if (max_entries_ == 0) return;
-  std::lock_guard<std::mutex> lock(mutex_);
-  matching_.put(key_of(req), result, max_entries_);
-}
-
 std::size_t ResponseCache::size() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return gamma_.entries.size() + credit_.entries.size() +
-         histogram_.entries.size() + spmv_.entries.size() +
-         matching_.entries.size();
+  return std::apply(
+      [](const auto&... kind) { return (kind.entries.size() + ...); },
+      stores_);
 }
 
 }  // namespace dwi::serve

@@ -12,13 +12,15 @@
 // owns.
 //
 // Correctness over cleverness:
-//   - Lookup keys are the FULL request content, not a hash — a hash
-//     collision must never serve another request's bytes. (The cluster
+//   - The lookup key is the request itself, ordered by its defaulted
+//     operator<=>: the FULL request content, not a hash — a hash
+//     collision must never serve another request's bytes, and a field
+//     added to a request joins the key automatically. (The cluster
 //     still routes by stable hash; the cache just refuses to trust
 //     one.)
-//   - A CreditRisk+ entry retains the request's portfolio shared_ptr.
+//   - A CreditRisk+ key holds the request's portfolio shared_ptr.
 //     Requests identify the portfolio by pointer (the portfolio is
-//     immutable by contract, request.h), and retaining it guarantees
+//     immutable by contract, request.h), and holding it guarantees
 //     the pointed-to object outlives the entry — a freed-and-reused
 //     address can never alias a stale hit.
 //   - Eviction is FIFO in insertion order: deterministic, independent
@@ -34,7 +36,6 @@
 #include <cstddef>
 #include <deque>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <tuple>
 
@@ -44,93 +45,74 @@ namespace dwi::serve {
 
 class ResponseCache {
  public:
-  /// `max_entries` bounds EACH of the kind-specific maps; 0 makes
-  /// every lookup a miss and every insert a no-op (disabled).
-  explicit ResponseCache(std::size_t max_entries);
+  /// `max_entries` bounds EACH kind's store; 0 makes every lookup a
+  /// miss and every insert a no-op (disabled).
+  explicit ResponseCache(std::size_t max_entries)
+      : max_entries_(max_entries) {}
 
   /// Exact-match lookup. On a hit, *out receives a copy of the cached
   /// result and the call returns true.
-  bool lookup(const GammaRequest& req, GammaResult* out);
-  bool lookup(const CreditRiskRequest& req, CreditRiskResult* out);
-  bool lookup(const HistogramRequest& req, HistogramResult* out);
-  bool lookup(const SpmvRequest& req, SpmvResult* out);
-  bool lookup(const MatchingRequest& req, MatchingResult* out);
+  template <ServeRequest Request>
+  bool lookup(const Request& req, ResultOf<Request>* out) {
+    if (max_entries_ == 0) return false;
+    std::lock_guard<std::mutex> lock(mutex_);
+    const auto& entries = store<Request>().entries;
+    const auto it = entries.find(req);
+    if (it == entries.end()) return false;
+    *out = it->second;
+    return true;
+  }
 
-  /// Record a computed response. Overwrites an existing entry for the
-  /// same key (idempotent — the determinism contract guarantees the
-  /// value is identical); evicts the oldest entry of the same kind
-  /// once max_entries is reached.
-  void insert(const GammaRequest& req, const GammaResult& result);
-  void insert(const CreditRiskRequest& req, const CreditRiskResult& result);
-  void insert(const HistogramRequest& req, const HistogramResult& result);
-  void insert(const SpmvRequest& req, const SpmvResult& result);
-  void insert(const MatchingRequest& req, const MatchingResult& result);
+  /// Record a computed response. Overwriting an existing entry keeps
+  /// its FIFO position (the determinism contract guarantees the value
+  /// is identical); the oldest entry of the same kind is evicted once
+  /// max_entries is reached.
+  template <ServeRequest Request>
+  void insert(const Request& req, const ResultOf<Request>& result) {
+    if (max_entries_ == 0) return;
+    std::lock_guard<std::mutex> lock(mutex_);
+    KindStore<Request>& kind = store<Request>();
+    const auto [it, inserted] = kind.entries.insert_or_assign(req, result);
+    if (!inserted) return;
+    kind.order.push_back(it);
+    if (kind.order.size() > max_entries_) {
+      kind.entries.erase(kind.order.front());
+      kind.order.pop_front();
+    }
+  }
 
   std::size_t max_entries() const { return max_entries_; }
   std::size_t size() const;  ///< entries currently stored (all kinds)
 
  private:
-  // Full request content, ordered — std::map keeps lookups exact and
-  // iteration deterministic without inventing a request hash.
-  using GammaKey = std::tuple<RequestId, float, float, std::uint32_t, int>;
-  using CreditKey =
-      std::tuple<RequestId, const finance::Portfolio*, std::uint64_t>;
-  // The zoo requests are generation parameters, so their full content
-  // fits a small tuple; SchedulingMode participates because it changes
-  // the response's cycle stats even though the payload bytes match.
-  using HistogramKey =
-      std::tuple<RequestId, std::uint32_t, std::uint32_t, float, int>;
-  using SpmvKey = std::tuple<RequestId, std::uint32_t, std::uint32_t,
-                             std::uint32_t, int>;
-  using MatchingKey = std::tuple<RequestId, std::uint32_t, std::uint32_t,
-                                 std::uint32_t, int>;
-
-  static GammaKey key_of(const GammaRequest& req);
-  static CreditKey key_of(const CreditRiskRequest& req);
-  static HistogramKey key_of(const HistogramRequest& req);
-  static SpmvKey key_of(const SpmvRequest& req);
-  static MatchingKey key_of(const MatchingRequest& req);
-
-  struct CreditEntry {
-    CreditRiskResult result;
-    /// Aliasing guard: keeps the keyed portfolio address alive for as
-    /// long as the entry may match it.
-    std::shared_ptr<const finance::Portfolio> portfolio;
-  };
-
   /// One kind's exact-key store with FIFO eviction in insertion order.
-  template <typename Key, typename Entry>
+  /// std::map keeps lookups exact and iteration deterministic without
+  /// inventing a request hash.
+  template <typename Request>
   struct KindStore {
-    std::map<Key, Entry> entries;
-    std::deque<Key> order;  ///< FIFO insertion order
-
-    bool find(const Key& key, Entry* out) const {
-      const auto it = entries.find(key);
-      if (it == entries.end()) return false;
-      *out = it->second;
-      return true;
-    }
-
-    void put(const Key& key, Entry entry, std::size_t max_entries) {
-      const auto [it, inserted] =
-          entries.insert_or_assign(key, std::move(entry));
-      (void)it;
-      if (!inserted) return;  // overwrite keeps the original FIFO position
-      order.push_back(key);
-      if (order.size() > max_entries) {
-        entries.erase(order.front());
-        order.pop_front();
-      }
-    }
+    using Map = std::map<Request, ResultOf<Request>>;
+    Map entries;
+    std::deque<typename Map::iterator> order;  ///< FIFO insertion order
   };
+
+  /// The store of `Request`'s kind; a store placed out of RequestKind
+  /// order in Stores fails to compile here.
+  template <typename Request>
+  KindStore<Request>& store() {
+    return std::get<static_cast<std::size_t>(kind_of<Request>)>(stores_);
+  }
+
+  /// One store per kind, in RequestKind order.
+  using Stores =
+      std::tuple<KindStore<GammaRequest>, KindStore<CreditRiskRequest>,
+                 KindStore<HistogramRequest>, KindStore<SpmvRequest>,
+                 KindStore<MatchingRequest>>;
+  static_assert(std::tuple_size_v<Stores> == kNumRequestKinds,
+                "one response store per RequestKind");
 
   std::size_t max_entries_;
   mutable std::mutex mutex_;
-  KindStore<GammaKey, GammaResult> gamma_;
-  KindStore<CreditKey, CreditEntry> credit_;
-  KindStore<HistogramKey, HistogramResult> histogram_;
-  KindStore<SpmvKey, SpmvResult> spmv_;
-  KindStore<MatchingKey, MatchingResult> matching_;
+  Stores stores_;
 };
 
 }  // namespace dwi::serve

@@ -1,8 +1,6 @@
 #include "serve/sampling_server.h"
 
-#include <chrono>
 #include <cmath>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -27,11 +25,6 @@ std::uint64_t mix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
-double duration_seconds(std::chrono::steady_clock::time_point from,
-                        std::chrono::steady_clock::time_point to) {
-  return std::chrono::duration<double>(to - from).count();
-}
-
 WorkloadStatsResult to_stats_result(const workloads::WorkloadStats& s) {
   WorkloadStatsResult r;
   r.cycles = s.cycles;
@@ -49,6 +42,8 @@ SamplingServer::SamplingServer(ServeConfig cfg)
   DWI_REQUIRE(cfg_.substreams_per_request >= 2,
               "serve: need at least one gamma slot and one sector slot "
               "per request id");
+  const std::uint64_t spr = cfg_.substreams_per_request;
+  max_request_id_ = (~std::uint64_t{0} - (spr - 1)) / spr;
   // Modeled-capacity admission: an enabled plan replaces the explicit
   // queue/batch constants with bounds derived from the device's
   // modeled throughput (serve/capacity.h); config() then reports the
@@ -126,9 +121,6 @@ ServeStatus SamplingServer::validate(const GammaRequest& req) const {
   if (!(req.scale > 0.0f) || !std::isfinite(req.scale)) {
     return ServeStatus::kInvalidRequest;
   }
-  if (req.id > (~std::uint64_t{0}) / cfg_.substreams_per_request - 1) {
-    return ServeStatus::kInvalidRequest;  // substream index would wrap
-  }
   return ServeStatus::kAdmitted;
 }
 
@@ -139,9 +131,6 @@ ServeStatus SamplingServer::validate(const CreditRiskRequest& req) const {
   }
   const std::size_t sectors = req.portfolio->num_sectors();
   if (sectors == 0 || sectors > cfg_.substreams_per_request - 1) {
-    return ServeStatus::kInvalidRequest;
-  }
-  if (req.id > (~std::uint64_t{0}) / cfg_.substreams_per_request - 1) {
     return ServeStatus::kInvalidRequest;
   }
   return ServeStatus::kAdmitted;
@@ -158,9 +147,6 @@ ServeStatus SamplingServer::validate(const HistogramRequest& req) const {
       !std::isfinite(req.hot_fraction)) {
     return ServeStatus::kInvalidRequest;
   }
-  if (req.id > (~std::uint64_t{0}) / cfg_.substreams_per_request - 1) {
-    return ServeStatus::kInvalidRequest;
-  }
   return ServeStatus::kAdmitted;
 }
 
@@ -172,9 +158,6 @@ ServeStatus SamplingServer::validate(const SpmvRequest& req) const {
       req.nnz_per_row_max > cfg_.max_spmv_nnz_per_row) {
     return ServeStatus::kInvalidRequest;
   }
-  if (req.id > (~std::uint64_t{0}) / cfg_.substreams_per_request - 1) {
-    return ServeStatus::kInvalidRequest;
-  }
   return ServeStatus::kAdmitted;
 }
 
@@ -183,9 +166,6 @@ ServeStatus SamplingServer::validate(const MatchingRequest& req) const {
     return ServeStatus::kInvalidRequest;
   }
   if (req.num_edges == 0 || req.num_edges > cfg_.max_matching_edges) {
-    return ServeStatus::kInvalidRequest;
-  }
-  if (req.id > (~std::uint64_t{0}) / cfg_.substreams_per_request - 1) {
     return ServeStatus::kInvalidRequest;
   }
   return ServeStatus::kAdmitted;
@@ -307,224 +287,6 @@ MatchingResult SamplingServer::compute(const MatchingRequest& req) const {
   res.edges_examined = out.edges_examined;
   res.stats = to_stats_result(out.stats);
   return res;
-}
-
-template <typename Request, typename Result>
-bool SamplingServer::serve_from_cache(RequestKind kind, const Request& req,
-                                      std::future<Result>* out,
-                                      bool* cache_hit) {
-  if (!cache_) return false;
-  Result cached;
-  if (!cache_->lookup(req, &cached)) {
-    metrics_.record_cache_miss();
-    return false;
-  }
-  metrics_.record_cache_hit();
-  metrics_.record_completed(0.0, kind);  // answered in-line, nothing queued
-  std::promise<Result> promise;
-  promise.set_value(std::move(cached));
-  *out = promise.get_future();
-  if (cache_hit) *cache_hit = true;
-  return true;
-}
-
-template <typename Request, typename Result>
-ServeStatus SamplingServer::submit_impl(RequestKind kind, const Request& req,
-                                        std::future<Result>* out,
-                                        bool* cache_hit) {
-  metrics_.record_submitted(kind);
-  const ServeStatus valid = validate(req);
-  if (valid != ServeStatus::kAdmitted) {
-    metrics_.record_rejected(valid);
-    return valid;
-  }
-  if (serve_from_cache(kind, req, out, cache_hit)) {
-    return ServeStatus::kAdmitted;
-  }
-
-  auto promise = std::make_shared<std::promise<Result>>();
-  std::future<Result> future = promise->get_future();
-  const auto admitted_at = std::chrono::steady_clock::now();
-
-  Job job;
-  job.kind = kind;
-  job.request_id = req.id;
-  job.admitted_at = admitted_at;
-  // The job owns everything it touches (scheduler contract); `this`
-  // outlives it because shutdown() drains before the server dies.
-  // Metrics are recorded before the promise is fulfilled so a caller
-  // that sees the future ready also sees the completion counted.
-  job.run = [this, kind, req, promise, admitted_at] {
-    try {
-      Result result = compute(req);
-      if (cache_) cache_->insert(req, result);
-      metrics_.record_completed(
-          duration_seconds(admitted_at, std::chrono::steady_clock::now()),
-          kind);
-      promise->set_value(std::move(result));
-    } catch (...) {
-      metrics_.record_failed(duration_seconds(
-          admitted_at, std::chrono::steady_clock::now()));
-      promise->set_exception(std::current_exception());
-    }
-  };
-
-  const ServeStatus status = scheduler_->try_enqueue(std::move(job));
-  if (status != ServeStatus::kAdmitted) {
-    metrics_.record_rejected(status);
-    return status;
-  }
-  *out = std::move(future);
-  return ServeStatus::kAdmitted;
-}
-
-ServeStatus SamplingServer::try_submit(const GammaRequest& req,
-                                       std::future<GammaResult>* out) {
-  return try_submit(req, out, nullptr);
-}
-
-ServeStatus SamplingServer::try_submit(const CreditRiskRequest& req,
-                                       std::future<CreditRiskResult>* out) {
-  return try_submit(req, out, nullptr);
-}
-
-ServeStatus SamplingServer::try_submit(const GammaRequest& req,
-                                       std::future<GammaResult>* out,
-                                       bool* cache_hit) {
-  DWI_ASSERT(out != nullptr);
-  if (cache_hit) *cache_hit = false;
-  return submit_impl<GammaRequest, GammaResult>(RequestKind::kGamma, req, out,
-                                                cache_hit);
-}
-
-ServeStatus SamplingServer::try_submit(const CreditRiskRequest& req,
-                                       std::future<CreditRiskResult>* out,
-                                       bool* cache_hit) {
-  DWI_ASSERT(out != nullptr);
-  if (cache_hit) *cache_hit = false;
-  if (resident_) {
-    // Resident chain: validated here, admitted straight onto the
-    // pipeline's bounded admission pipe (same metrics protocol as the
-    // scheduler path; completion is recorded by the aggregator kernel).
-    metrics_.record_submitted(RequestKind::kCreditRisk);
-    const ServeStatus valid = validate(req);
-    if (valid != ServeStatus::kAdmitted) {
-      metrics_.record_rejected(valid);
-      return valid;
-    }
-    if (serve_from_cache(RequestKind::kCreditRisk, req, out, cache_hit)) {
-      return ServeStatus::kAdmitted;
-    }
-    const ServeStatus status = resident_->try_enqueue(req, out);
-    if (status != ServeStatus::kAdmitted) {
-      metrics_.record_rejected(status);
-      return status;
-    }
-    metrics_.record_admitted(resident_->queue_depth());
-    return ServeStatus::kAdmitted;
-  }
-  return submit_impl<CreditRiskRequest, CreditRiskResult>(
-      RequestKind::kCreditRisk, req, out, cache_hit);
-}
-
-ServeStatus SamplingServer::try_submit(const HistogramRequest& req,
-                                       std::future<HistogramResult>* out,
-                                       bool* cache_hit) {
-  DWI_ASSERT(out != nullptr);
-  if (cache_hit) *cache_hit = false;
-  return submit_impl<HistogramRequest, HistogramResult>(
-      RequestKind::kHistogram, req, out, cache_hit);
-}
-
-ServeStatus SamplingServer::try_submit(const SpmvRequest& req,
-                                       std::future<SpmvResult>* out,
-                                       bool* cache_hit) {
-  DWI_ASSERT(out != nullptr);
-  if (cache_hit) *cache_hit = false;
-  return submit_impl<SpmvRequest, SpmvResult>(RequestKind::kSpmv, req, out,
-                                              cache_hit);
-}
-
-ServeStatus SamplingServer::try_submit(const MatchingRequest& req,
-                                       std::future<MatchingResult>* out,
-                                       bool* cache_hit) {
-  DWI_ASSERT(out != nullptr);
-  if (cache_hit) *cache_hit = false;
-  return submit_impl<MatchingRequest, MatchingResult>(RequestKind::kMatching,
-                                                      req, out, cache_hit);
-}
-
-std::future<GammaResult> SamplingServer::submit(const GammaRequest& req) {
-  std::future<GammaResult> f;
-  const ServeStatus s = try_submit(req, &f);
-  if (s != ServeStatus::kAdmitted) {
-    throw RejectedError(
-        s, std::string("serve: gamma request rejected: ") + to_string(s));
-  }
-  return f;
-}
-
-std::future<CreditRiskResult> SamplingServer::submit(
-    const CreditRiskRequest& req) {
-  std::future<CreditRiskResult> f;
-  const ServeStatus s = try_submit(req, &f);
-  if (s != ServeStatus::kAdmitted) {
-    throw RejectedError(
-        s, std::string("serve: credit-risk request rejected: ") +
-               to_string(s));
-  }
-  return f;
-}
-
-std::future<HistogramResult> SamplingServer::submit(
-    const HistogramRequest& req) {
-  std::future<HistogramResult> f;
-  const ServeStatus s = try_submit(req, &f);
-  if (s != ServeStatus::kAdmitted) {
-    throw RejectedError(
-        s, std::string("serve: histogram request rejected: ") + to_string(s));
-  }
-  return f;
-}
-
-std::future<SpmvResult> SamplingServer::submit(const SpmvRequest& req) {
-  std::future<SpmvResult> f;
-  const ServeStatus s = try_submit(req, &f);
-  if (s != ServeStatus::kAdmitted) {
-    throw RejectedError(
-        s, std::string("serve: spmv request rejected: ") + to_string(s));
-  }
-  return f;
-}
-
-std::future<MatchingResult> SamplingServer::submit(const MatchingRequest& req) {
-  std::future<MatchingResult> f;
-  const ServeStatus s = try_submit(req, &f);
-  if (s != ServeStatus::kAdmitted) {
-    throw RejectedError(
-        s, std::string("serve: matching request rejected: ") + to_string(s));
-  }
-  return f;
-}
-
-GammaResult SamplingServer::run(const GammaRequest& req) {
-  return submit(req).get();
-}
-
-CreditRiskResult SamplingServer::run(const CreditRiskRequest& req) {
-  return submit(req).get();
-}
-
-HistogramResult SamplingServer::run(const HistogramRequest& req) {
-  return submit(req).get();
-}
-
-SpmvResult SamplingServer::run(const SpmvRequest& req) {
-  return submit(req).get();
-}
-
-MatchingResult SamplingServer::run(const MatchingRequest& req) {
-  return submit(req).get();
 }
 
 }  // namespace dwi::serve

@@ -29,10 +29,14 @@
 // reads past that budget fails with StreamBudgetError.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
+#include <exception>
 #include <future>
 #include <memory>
+#include <utility>
 
+#include "common/error.h"
 #include "rng/mersenne_twister.h"
 #include "rng/philox.h"
 #include "serve/batch_scheduler.h"
@@ -121,52 +125,37 @@ class SamplingServer {
   SamplingServer(const SamplingServer&) = delete;
   SamplingServer& operator=(const SamplingServer&) = delete;
 
-  /// Non-blocking admission: on kAdmitted, *out receives the future;
-  /// any other status leaves *out untouched. Never blocks, never
-  /// throws on overload.
-  ServeStatus try_submit(const GammaRequest& req,
-                         std::future<GammaResult>* out);
-  ServeStatus try_submit(const CreditRiskRequest& req,
-                         std::future<CreditRiskResult>* out);
-  /// As above, additionally reporting whether the response came from
-  /// the response cache (the future is then already ready and nothing
-  /// entered the admission queue). `cache_hit` may be null. The
-  /// cluster router uses this to skip modeled-device accounting for
-  /// cached answers.
-  ServeStatus try_submit(const GammaRequest& req,
-                         std::future<GammaResult>* out, bool* cache_hit);
-  ServeStatus try_submit(const CreditRiskRequest& req,
-                         std::future<CreditRiskResult>* out,
-                         bool* cache_hit);
-
-  /// Divergent-kernel zoo admission (src/workloads): identical
-  /// contract. The input trace is derived from the request's slot-0
-  /// substream — the one gamma_stream() exposes —
-  /// so responses (payload and cycle stats) are pure functions of
-  /// (server_seed, request content).
-  ServeStatus try_submit(const HistogramRequest& req,
-                         std::future<HistogramResult>* out,
-                         bool* cache_hit = nullptr);
-  ServeStatus try_submit(const SpmvRequest& req,
-                         std::future<SpmvResult>* out,
-                         bool* cache_hit = nullptr);
-  ServeStatus try_submit(const MatchingRequest& req,
-                         std::future<MatchingResult>* out,
+  /// Non-blocking admission of any request kind: on kAdmitted, *out
+  /// receives the future; any other status leaves *out untouched.
+  /// Never blocks, never throws on overload. `cache_hit` (may be null)
+  /// reports whether the response came from the response cache (the
+  /// future is then already ready and nothing entered the admission
+  /// queue); the cluster router uses it to skip modeled-device
+  /// accounting for cached answers. Zoo requests derive their input
+  /// trace from the request's slot-0 substream — the one gamma_stream()
+  /// exposes — so every response (payload and cycle stats) is a pure
+  /// function of (server_seed, request content).
+  template <ServeRequest Request>
+  ServeStatus try_submit(const Request& req,
+                         std::future<ResultOf<Request>>* out,
                          bool* cache_hit = nullptr);
 
-  /// Throwing wrappers: return the future or throw RejectedError.
-  std::future<GammaResult> submit(const GammaRequest& req);
-  std::future<CreditRiskResult> submit(const CreditRiskRequest& req);
-  std::future<HistogramResult> submit(const HistogramRequest& req);
-  std::future<SpmvResult> submit(const SpmvRequest& req);
-  std::future<MatchingResult> submit(const MatchingRequest& req);
+  /// Throwing wrapper: returns the future or throws RejectedError.
+  template <ServeRequest Request>
+  std::future<ResultOf<Request>> submit(const Request& req) {
+    std::future<ResultOf<Request>> f;
+    const ServeStatus s = try_submit(req, &f);
+    if (s != ServeStatus::kAdmitted) {
+      throw_rejected("serve", kind_of<Request>, s);
+    }
+    return f;
+  }
 
   /// Synchronous convenience: submit and wait.
-  GammaResult run(const GammaRequest& req);
-  CreditRiskResult run(const CreditRiskRequest& req);
-  HistogramResult run(const HistogramRequest& req);
-  SpmvResult run(const SpmvRequest& req);
-  MatchingResult run(const MatchingRequest& req);
+  template <ServeRequest Request>
+  ResultOf<Request> run(const Request& req) {
+    return submit(req).get();
+  }
 
   /// Stop admitting, drain every admitted request, fulfill every
   /// accepted future. Idempotent.
@@ -204,6 +193,8 @@ class SamplingServer {
                     std::uint64_t slot) const;
 
  private:
+  /// Per-kind parameter checks (try_submit range-checks the id once for
+  /// every kind) and the per-kind kernels.
   ServeStatus validate(const GammaRequest& req) const;
   ServeStatus validate(const CreditRiskRequest& req) const;
   ServeStatus validate(const HistogramRequest& req) const;
@@ -215,19 +206,23 @@ class SamplingServer {
   SpmvResult compute(const SpmvRequest& req) const;
   MatchingResult compute(const MatchingRequest& req) const;
 
-  template <typename Request, typename Result>
-  ServeStatus submit_impl(RequestKind kind, const Request& req,
-                          std::future<Result>* out, bool* cache_hit);
-
   /// Serve `req` from the cache if present: fulfills *out with an
   /// already-ready future, records submitted/hit/completed (never
   /// admitted), sets *cache_hit. Returns false (recording a miss) when
   /// the cache is enabled but cold; no-op false when disabled.
-  template <typename Request, typename Result>
-  bool serve_from_cache(RequestKind kind, const Request& req,
-                        std::future<Result>* out, bool* cache_hit);
+  template <ServeRequest Request>
+  bool serve_from_cache(const Request& req,
+                        std::future<ResultOf<Request>>* out, bool* cache_hit);
+
+  /// Admit `req` onto the batch scheduler (or, for CreditRisk+ in
+  /// resident mode, the resident pipeline's admission pipe).
+  template <ServeRequest Request>
+  ServeStatus enqueue(const Request& req, std::future<ResultOf<Request>>* out);
 
   ServeConfig cfg_;
+  /// Largest id whose substream block [id·spr, (id+1)·spr) fits below
+  /// 2^64 (spr = substreams_per_request); larger ids are invalid.
+  RequestId max_request_id_ = 0;
   rng::CounterSubstreams streams_;
   ServerMetrics metrics_;
   /// Response cache (cfg_.response_cache_entries; null when disabled).
@@ -239,5 +234,89 @@ class SamplingServer {
   /// scheduler so it drains first on destruction.
   std::unique_ptr<ResidentPipeline> resident_;
 };
+
+template <ServeRequest Request>
+ServeStatus SamplingServer::try_submit(const Request& req,
+                                       std::future<ResultOf<Request>>* out,
+                                       bool* cache_hit) {
+  DWI_ASSERT(out != nullptr);
+  if (cache_hit) *cache_hit = false;
+  metrics_.record_submitted(kind_of<Request>);
+  ServeStatus status = req.id <= max_request_id_
+                           ? validate(req)
+                           : ServeStatus::kInvalidRequest;
+  if (status == ServeStatus::kAdmitted) {
+    if (serve_from_cache(req, out, cache_hit)) return status;
+    status = enqueue(req, out);
+  }
+  if (status != ServeStatus::kAdmitted) metrics_.record_rejected(status);
+  return status;
+}
+
+template <ServeRequest Request>
+bool SamplingServer::serve_from_cache(const Request& req,
+                                      std::future<ResultOf<Request>>* out,
+                                      bool* cache_hit) {
+  if (!cache_) return false;
+  ResultOf<Request> cached;
+  if (!cache_->lookup(req, &cached)) {
+    metrics_.record_cache_miss();
+    return false;
+  }
+  metrics_.record_cache_hit();
+  // Answered in-line, nothing queued.
+  metrics_.record_completed(0.0, kind_of<Request>);
+  std::promise<ResultOf<Request>> promise;
+  promise.set_value(std::move(cached));
+  *out = promise.get_future();
+  if (cache_hit) *cache_hit = true;
+  return true;
+}
+
+template <ServeRequest Request>
+ServeStatus SamplingServer::enqueue(const Request& req,
+                                    std::future<ResultOf<Request>>* out) {
+  using Result = ResultOf<Request>;
+  if constexpr (kind_of<Request> == RequestKind::kCreditRisk) {
+    if (resident_) {
+      // Resident chain: admitted straight onto the pipeline's bounded
+      // admission pipe; the aggregator kernel records completion.
+      const ServeStatus status = resident_->try_enqueue(req, out);
+      if (status == ServeStatus::kAdmitted) {
+        metrics_.record_admitted(resident_->queue_depth());
+      }
+      return status;
+    }
+  }
+  auto promise = std::make_shared<std::promise<Result>>();
+  std::future<Result> future = promise->get_future();
+  Job job;
+  job.kind = kind_of<Request>;
+  job.request_id = req.id;
+  job.admitted_at = std::chrono::steady_clock::now();
+  // The job owns everything it touches (scheduler contract); `this`
+  // outlives it because shutdown() drains before the server dies.
+  // Metrics are recorded before the promise is fulfilled so a caller
+  // that sees the future ready also sees the completion counted.
+  job.run = [this, req, promise, admitted_at = job.admitted_at] {
+    const auto elapsed = [admitted_at] {
+      return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                           admitted_at)
+          .count();
+    };
+    try {
+      Result result = compute(req);
+      if (cache_) cache_->insert(req, result);
+      metrics_.record_completed(elapsed(), kind_of<Request>);
+      promise->set_value(std::move(result));
+    } catch (...) {
+      metrics_.record_failed(elapsed());
+      promise->set_exception(std::current_exception());
+    }
+  };
+  const ServeStatus status = scheduler_->try_enqueue(std::move(job));
+  if (status == ServeStatus::kAdmitted) *out = std::move(future);
+  return status;
+}
 
 }  // namespace dwi::serve
