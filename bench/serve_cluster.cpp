@@ -22,6 +22,13 @@
 //      compare_bench.py polices these entries against
 //      bench/baselines/serve_cluster.json; scaling_1_to_4 summarizes
 //      the 1 -> 4 shard capacity ratio.
+//   3. Measured host capacity, beside the modeled one — per --shards
+//      entry, a fresh S-shard cluster serves the set kCapacityPasses
+//      times to a closed loop of 2 x threads clients (each keeps one
+//      request in flight, so the shared workers never idle):
+//          host_capacity_rps = completed / host wall seconds.
+//      It depends on the host and is not policed; host_scaling_1_to_4
+//      is its 1 -> 4 shard ratio.
 //
 // Emits BENCH_serve_cluster.json (schema: docs/SERVE.md).
 #include <algorithm>
@@ -60,6 +67,10 @@ struct LoadSpec {
   std::vector<unsigned> shards = {1, 2, 4, 8};
   std::uint32_t seed = 1;
 };
+
+/// Closed-loop passes over the set per host-capacity point: 2048
+/// requests at the default set size, ~0.2 s on a 4-core host.
+constexpr unsigned kCapacityPasses = 8;
 
 std::vector<RequestItem> build_request_set(
     const LoadSpec& spec,
@@ -126,6 +137,35 @@ std::uint64_t run_set_fingerprint(serve::ShardedSamplingServer& cluster,
     }
   }
   return h;
+}
+
+/// Closed loop at saturation: `clients` threads each keep one request
+/// in flight, cycling through their share of the set kCapacityPasses
+/// times. Returns completed requests per host wall second.
+double measure_host_capacity(serve::ShardedSamplingServer& cluster,
+                             const std::vector<RequestItem>& items,
+                             unsigned clients) {
+  const auto t0 = std::chrono::steady_clock::now();
+  std::vector<std::thread> threads;
+  threads.reserve(clients);
+  for (unsigned c = 0; c < clients; ++c) {
+    threads.emplace_back([&, c] {
+      for (unsigned p = 0; p < kCapacityPasses; ++p) {
+        for (std::size_t i = c; i < items.size(); i += clients) {
+          if (items[i].is_gamma) {
+            (void)cluster.run(items[i].gamma);
+          } else {
+            (void)cluster.run(items[i].credit);
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  const double wall = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+  return static_cast<double>(items.size() * kCapacityPasses) / wall;
 }
 
 serve::ClusterConfig cluster_config(const LoadSpec& spec,
@@ -246,6 +286,7 @@ int main(int argc, char** argv) {
     double bottleneck_seconds = 0.0;      ///< busiest modeled device
     double total_modeled_seconds = 0.0;   ///< sum over devices
     double throughput_rps = 0.0;          ///< modeled aggregate capacity
+    double host_capacity_rps = 0.0;       ///< measured, closed loop
     double max_shard_share = 0.0;         ///< admitted fraction, busiest
     std::uint64_t admitted = 0;
     std::uint64_t rejected = 0;
@@ -310,6 +351,11 @@ int main(int argc, char** argv) {
                            ? static_cast<double>(p.admitted) /
                                  p.bottleneck_seconds
                            : 0.0;
+    {
+      serve::ShardedSamplingServer closed(cluster_config(spec, shards));
+      p.host_capacity_rps =
+          measure_host_capacity(closed, items, 2 * max_threads);
+    }
     sweep.push_back(p);
   }
   exec::set_thread_count(0);  // back to the environment default
@@ -319,7 +365,8 @@ int main(int argc, char** argv) {
   {
     TextTable t;
     t.set_header({"Shards", "Admitted", "Stolen", "Max share",
-                  "Bottleneck [s]", "Capacity [req/s]", "Host wall [s]"});
+                  "Bottleneck [s]", "Capacity [req/s]", "Host wall [s]",
+                  "Host capacity [req/s]"});
     for (const auto& p : sweep) {
       t.add_row({TextTable::integer(p.shards),
                  TextTable::integer(static_cast<long long>(p.admitted)),
@@ -327,12 +374,14 @@ int main(int argc, char** argv) {
                  TextTable::num(p.max_shard_share, 2),
                  TextTable::num(p.bottleneck_seconds, 4),
                  TextTable::num(p.throughput_rps, 0),
-                 TextTable::num(p.wall_seconds, 3)});
+                 TextTable::num(p.wall_seconds, 3),
+                 TextTable::num(p.host_capacity_rps, 0)});
     }
     t.render(std::cout);
   }
 
   double scaling_1_to_4 = 0.0;
+  double host_scaling_1_to_4 = 0.0;
   {
     const SweepPoint* one = nullptr;
     const SweepPoint* four = nullptr;
@@ -345,6 +394,12 @@ int main(int argc, char** argv) {
       std::cout << "Modeled capacity scaling 1 -> 4 shards: "
                 << TextTable::num(scaling_1_to_4, 2) << "x\n";
     }
+    if (one && four && one->host_capacity_rps > 0.0) {
+      host_scaling_1_to_4 = four->host_capacity_rps / one->host_capacity_rps;
+      std::cout << "Measured host capacity scaling 1 -> 4 shards ("
+                << 2 * max_threads << " closed-loop clients): "
+                << TextTable::num(host_scaling_1_to_4, 2) << "x\n";
+    }
   }
 
   // ==== Artifact ======================================================
@@ -355,6 +410,8 @@ int main(int argc, char** argv) {
     j.kv("requests", static_cast<std::uint64_t>(items.size()));
     j.kv("gamma_samples_per_request", spec.samples);
     j.kv("offered_rps", spec.open_loop_rate);
+    j.kv("closed_loop_clients", 2 * max_threads);
+    j.kv("closed_loop_passes", kCapacityPasses);
     j.kv("cross_shard_identical", identical);
     j.key("sweep").begin_array();
     for (const auto& p : sweep) {
@@ -364,6 +421,7 @@ int main(int argc, char** argv) {
       j.kv("modeled_bottleneck_seconds", p.bottleneck_seconds);
       j.kv("modeled_total_seconds", p.total_modeled_seconds);
       j.kv("throughput_rps", p.throughput_rps);
+      j.kv("host_capacity_rps", p.host_capacity_rps);
       j.kv("max_shard_share", p.max_shard_share);
       j.kv("admitted", p.admitted);
       j.kv("rejected_queue_full", p.rejected);
@@ -372,6 +430,7 @@ int main(int argc, char** argv) {
     }
     j.end_array();
     j.kv("scaling_1_to_4", scaling_1_to_4);
+    j.kv("host_scaling_1_to_4", host_scaling_1_to_4);
     j.end_object();
     jf << "\n";
     std::cout << "Wrote " << args->json_path << "\n";

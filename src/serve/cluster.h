@@ -9,8 +9,9 @@
 // behind one router. The scheduler model follows the
 // tasks-across-device-owning-workers shape of "Enabling OpenMP Task
 // Parallelism on Multi-FPGAs" (PAPERS.md): placement is a routing
-// decision, execution is per-shard, and nothing is shared between
-// shards but the router.
+// decision, and shards share nothing but the router and the
+// process-wide serve workers (serve/batch_scheduler.h) that drain every
+// shard's queue — a cluster starts no thread per shard.
 //
 // Placement policies:
 //   * kConsistentHash — a virtual-node hash ring over the request id.

@@ -115,17 +115,21 @@ void ServerMetrics::record_batch(std::size_t occupancy) {
 }
 
 void ServerMetrics::record_completed(double latency_seconds,
+                                     double queue_wait_seconds,
                                      RequestKind kind) {
   std::lock_guard lock(mutex_);
   ++completed_;
   ++completed_by_kind_[kind_index(kind)];
   latencies_.record(latency_seconds);
+  queue_waits_.record(queue_wait_seconds);
 }
 
-void ServerMetrics::record_failed(double latency_seconds) {
+void ServerMetrics::record_failed(double latency_seconds,
+                                  double queue_wait_seconds) {
   std::lock_guard lock(mutex_);
   ++failed_;
   latencies_.record(latency_seconds);
+  queue_waits_.record(queue_wait_seconds);
 }
 
 void ServerMetrics::record_cache_hit() {
@@ -144,9 +148,10 @@ std::size_t ServerMetrics::latency_samples_stored() const {
 }
 
 MetricsSnapshot ServerMetrics::snapshot() const {
-  // The reservoir copy under the lock is bounded by its capacity; the
-  // O(n log n) percentile sort happens outside the critical section.
+  // The reservoir copies under the lock are bounded by their capacity;
+  // the O(n log n) percentile sorts happen outside the critical section.
   LatencyReservoir latencies;
+  LatencyReservoir queue_waits;
   MetricsSnapshot s;
   {
     std::lock_guard lock(mutex_);
@@ -169,8 +174,10 @@ MetricsSnapshot ServerMetrics::snapshot() const {
                       : static_cast<double>(batched_requests_) /
                             static_cast<double>(batches_);
     latencies = latencies_;
+    queue_waits = queue_waits_;
   }
   s.latency = latencies.summarize();
+  s.queue_wait = queue_waits.summarize();
   return s;
 }
 

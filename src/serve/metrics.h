@@ -1,10 +1,10 @@
 // Serving metrics: admission counters, queue depth, batch occupancy
 // and per-request latency with order-statistic summaries.
 //
-// The recorder is deliberately simple — one mutex, plain counters, a
-// latency sample vector — because the serving hot path (the batch
-// compute itself) runs on the exec pool and touches the recorder once
-// per request, not per sample. snapshot() is the only reader and
+// The recorder is deliberately simple — one mutex, plain counters, two
+// latency reservoirs — because the serving hot path (the batch compute
+// itself) runs on the shared workers and touches the recorder once per
+// request, not per sample. snapshot() is the only reader and
 // copies everything out, so a live server can be observed at any time.
 #pragma once
 
@@ -102,10 +102,12 @@ struct PipeStallCounters {
 };
 
 /// Point-in-time copy of every metric the server tracks. The latency
-/// summary covers *completed* requests, admission→completion;
-/// percentiles are reservoir estimates once more requests have
-/// finished than LatencyReservoir::kDefaultCapacity (count, min, max
-/// and mean remain exact).
+/// summary covers *finished* requests (completed or failed),
+/// admission→completion; `queue_wait` covers the same requests,
+/// admission→the moment a worker started the job. Percentiles are
+/// reservoir estimates once more requests have finished than
+/// LatencyReservoir::kDefaultCapacity (count, min, max and mean remain
+/// exact).
 struct MetricsSnapshot {
   std::uint64_t submitted = 0;          ///< all submission attempts
   std::uint64_t admitted = 0;
@@ -130,6 +132,9 @@ struct MetricsSnapshot {
   std::size_t max_batch_occupancy = 0;
   double mean_batch_occupancy = 0.0;    ///< requests per batch
   LatencySummary latency;
+  /// Time queued before a worker started the job. A cache hit never
+  /// queues and records 0, as its latency does.
+  LatencySummary queue_wait;
   /// Resident-pipeline pipe stalls; all-zero (and `resident` false)
   /// when the server runs the classic scheduler path only.
   bool resident = false;
@@ -143,8 +148,10 @@ class ServerMetrics {
   /// `queue_depth`: admission queue occupancy right after the push.
   void record_admitted(std::size_t queue_depth);
   void record_batch(std::size_t occupancy);
-  void record_completed(double latency_seconds, RequestKind kind);
-  void record_failed(double latency_seconds);
+  /// `queue_wait_seconds`: admission until a worker started the job.
+  void record_completed(double latency_seconds, double queue_wait_seconds,
+                        RequestKind kind);
+  void record_failed(double latency_seconds, double queue_wait_seconds);
   /// A cache hit also records submitted + completed (the caller
   /// observed both); this only bumps the hit counter itself.
   void record_cache_hit();
@@ -175,6 +182,7 @@ class ServerMetrics {
   std::size_t max_batch_occupancy_ = 0;
   std::uint64_t batched_requests_ = 0;
   LatencyReservoir latencies_;
+  LatencyReservoir queue_waits_;
 };
 
 }  // namespace dwi::serve

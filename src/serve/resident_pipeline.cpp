@@ -82,6 +82,7 @@ ServeStatus ResidentPipeline::try_enqueue(const CreditRiskRequest& req,
 void ResidentPipeline::sampler_loop() {
   Job job;
   while (admission_.read(&job)) {
+    job.started_at = std::chrono::steady_clock::now();
     // Hand the job forward first so the aggregator can start consuming
     // rows while this kernel is still producing them.
     handoff_.write(job);
@@ -139,8 +140,9 @@ void ResidentPipeline::aggregator_loop() {
   Job job;
   while (handoff_.read(&job)) {
     const auto fail = [&](std::exception_ptr e) {
-      metrics_->record_failed(duration_seconds(
-          job.admitted_at, std::chrono::steady_clock::now()));
+      metrics_->record_failed(
+          duration_seconds(job.admitted_at, std::chrono::steady_clock::now()),
+          duration_seconds(job.admitted_at, job.started_at));
       job.promise->set_exception(std::move(e));
     };
     try {
@@ -173,6 +175,7 @@ void ResidentPipeline::aggregator_loop() {
       if (cache_) cache_->insert(job.req, res);
       metrics_->record_completed(
           duration_seconds(job.admitted_at, std::chrono::steady_clock::now()),
+          duration_seconds(job.admitted_at, job.started_at),
           RequestKind::kCreditRisk);
       job.promise->set_value(res);
     } catch (...) {

@@ -2,9 +2,9 @@
 // inter-kernel pipe work (hls/pipe.h, finance/pipeline).
 //
 // The classic path treats every CreditRisk+ request as one kernel
-// launch: BatchScheduler dispatches a closure to the exec pool, which
-// samples all sector draws and then aggregates them, request by
-// request. The resident path instead keeps TWO kernels permanently
+// launch: a shared worker claims the closure from the server's
+// BatchScheduler queue and runs it, sampling all sector draws and then
+// aggregating them, request by request. The resident path instead keeps TWO kernels permanently
 // running — a sector-sampler and a conditional-Poisson aggregator —
 // connected by bounded pipes:
 //
@@ -79,6 +79,7 @@ class ResidentPipeline {
     CreditRiskRequest req;
     std::shared_ptr<std::promise<CreditRiskResult>> promise;
     std::chrono::steady_clock::time_point admitted_at;
+    std::chrono::steady_clock::time_point started_at;  ///< sampler read it
   };
   /// A block of consecutive scenario rows (rows x num_sectors,
   /// scenario-major) for the job most recently handed to the

@@ -11,9 +11,10 @@
 //
 // Pipeline: submit() validates and admits into the BatchScheduler's
 // bounded FIFO (reject-with-typed-error on overload — the caller is
-// never blocked indefinitely); the scheduler coalesces same-kind runs
-// into batches and fans them out over the process-wide exec pool; each
-// request computes on RNG substreams derived from
+// never blocked indefinitely); the process-wide shared workers, which
+// drain every server's FIFO, claim same-kind runs as batches and fan
+// them out over the exec pool (the server owns no dispatch thread);
+// each request computes on RNG substreams derived from
 // (server_seed, request_id) via the counter-based
 // rng::CounterSubstreams (one Philox counter write per substream).
 //
@@ -24,9 +25,10 @@
 // of the master Philox sequence — gamma and zoo requests use slot 0, a
 // CreditRisk+ request uses slot 1+k for sector k plus a Poisson seed
 // mixed from (server_seed, id). Arrival order, batch boundaries,
-// DWI_THREADS, and batching on/off cannot move a single bit of any
-// response. Each slot owns substream_stride outputs; a request that
-// reads past that budget fails with StreamBudgetError.
+// DWI_THREADS, the worker that claims a batch, and batching on/off
+// cannot move a single bit of any response. Each slot owns
+// substream_stride outputs; a request that reads past that budget
+// fails with StreamBudgetError.
 #pragma once
 
 #include <chrono>
@@ -157,8 +159,11 @@ class SamplingServer {
     return submit(req).get();
   }
 
-  /// Stop admitting, drain every admitted request, fulfill every
-  /// accepted future. Idempotent.
+  /// Stop admitting, wait until every request this server admitted has
+  /// run, fulfill every accepted future. Joins no thread of the shared
+  /// workers and never waits on another server's requests (the
+  /// resident kernels, when on, are this server's own and are joined).
+  /// Idempotent.
   void shutdown();
 
   /// Snapshot of the server's counters and latency summary; in
@@ -265,7 +270,7 @@ bool SamplingServer::serve_from_cache(const Request& req,
   }
   metrics_.record_cache_hit();
   // Answered in-line, nothing queued.
-  metrics_.record_completed(0.0, kind_of<Request>);
+  metrics_.record_completed(0.0, 0.0, kind_of<Request>);
   std::promise<ResultOf<Request>> promise;
   promise.set_value(std::move(cached));
   *out = promise.get_future();
@@ -304,13 +309,14 @@ ServeStatus SamplingServer::enqueue(const Request& req,
                                            admitted_at)
           .count();
     };
+    const double queue_wait = elapsed();
     try {
       Result result = compute(req);
       if (cache_) cache_->insert(req, result);
-      metrics_.record_completed(elapsed(), kind_of<Request>);
+      metrics_.record_completed(elapsed(), queue_wait, kind_of<Request>);
       promise->set_value(std::move(result));
     } catch (...) {
-      metrics_.record_failed(elapsed());
+      metrics_.record_failed(elapsed(), queue_wait);
       promise->set_exception(std::current_exception());
     }
   };

@@ -3,7 +3,7 @@
 #include <optional>
 
 #include "common/error.h"
-#include "hls/stream.h"
+#include "common/ring_buffer.h"
 #include "workloads/forwarding_buffer.h"
 
 namespace dwi::workloads {
@@ -54,7 +54,9 @@ HistogramOutput run_histogram(const HistogramConfig& cfg,
     fb.emplace(window);
   }
 
-  hls::stream<Update> channel(cfg.stream_depth, "hist.updates");
+  // The fetch→update FIFO. Both work-items step in this one loop, so
+  // the plain single-threaded ring models it without a lock.
+  RingBuffer<Update> channel(cfg.stream_depth);
   const std::size_t n = addrs.size();
   std::size_t fetched = 0;    // next trace element the fetch stage sends
   std::size_t processed = 0;  // updates retired by the update stage
@@ -72,8 +74,8 @@ HistogramOutput run_histogram(const HistogramConfig& cfg,
       ++stats.hazard_stall_cycles;
       if (fb) fb->push_bubble();
     } else {
-      Update u;
-      if (channel.try_read(u)) {
+      if (!channel.empty()) {
+        const Update u = channel.pop();
         DWI_REQUIRE(u.addr < cfg.num_bins,
                     "histogram: address out of range");
         out.bins[u.addr] += u.weight;  // trace order in both modes
@@ -99,7 +101,7 @@ HistogramOutput run_histogram(const HistogramConfig& cfg,
 
     // --- fetch work-item --------------------------------------------
     if (fetched < n) {
-      if (channel.try_write(Update{addrs[fetched], weights[fetched]})) {
+      if (channel.try_push(Update{addrs[fetched], weights[fetched]})) {
         ++fetched;
       } else {
         ++stats.pipe_full_stall_cycles;

@@ -31,7 +31,8 @@ struct HistogramConfig {
   /// Bubble cycles a forwarded collision costs under kDynamic (the
   /// bypass-mux delay); must be < chain_latency for forwarding to pay.
   unsigned forward_stall = 1;
-  /// Depth of the fetch→update hls::stream.
+  /// Depth of the fetch→update hls::stream (a RingBuffer of this
+  /// capacity in the cycle loop).
   std::size_t stream_depth = 8;
 };
 

@@ -1,7 +1,7 @@
 #include "workloads/spmv.h"
 
 #include "common/error.h"
-#include "hls/stream.h"
+#include "common/ring_buffer.h"
 
 namespace dwi::workloads {
 
@@ -51,7 +51,9 @@ SpmvOutput run_spmv(const SpmvConfig& cfg, const CsrMatrix& m,
   out.y.assign(m.rows, 0.0f);
   WorkloadStats& stats = out.stats;
 
-  hls::stream<RowRange> rows(cfg.stream_depth, "spmv.rows");
+  // The pointer→MAC FIFO; both work-items step in this one loop, so
+  // the plain single-threaded ring models it without a lock.
+  RingBuffer<RowRange> rows(cfg.stream_depth);
   std::uint32_t next_fetch = 0;  // next row the pointer work-item sends
 
   if (cfg.mode == SchedulingMode::kDynamic && m.rows > 0) {
@@ -61,14 +63,13 @@ SpmvOutput run_spmv(const SpmvConfig& cfg, const CsrMatrix& m,
   for (std::uint32_t r = 0; r < m.rows; ++r) {
     // Row-pointer work-item: stay up to stream_depth rows ahead.
     while (next_fetch < m.rows &&
-           rows.try_write(RowRange{next_fetch, m.row_ptr[next_fetch],
-                                   m.row_ptr[next_fetch + 1]})) {
+           rows.try_push(RowRange{next_fetch, m.row_ptr[next_fetch],
+                                  m.row_ptr[next_fetch + 1]})) {
       ++next_fetch;
     }
 
-    RowRange range;
-    const bool got = rows.try_read(range);
-    DWI_ASSERT(got);
+    DWI_ASSERT(!rows.empty());
+    const RowRange range = rows.pop();
     const std::uint32_t nnz = range.end - range.begin;
 
     // MAC work-item: accumulate in CSR order (both modes).

@@ -42,7 +42,8 @@ struct SpmvConfig {
   unsigned add_latency = 4;
   /// MAC pipeline depth a static schedule drains at each row boundary.
   unsigned pipeline_latency = 8;
-  /// Depth of the row-pointer → MAC hls::stream.
+  /// Depth of the row-pointer → MAC hls::stream (a RingBuffer of this
+  /// capacity in the cycle loop).
   std::size_t stream_depth = 8;
 };
 

@@ -431,8 +431,9 @@ std::vector<std::future<serve::CreditRiskResult>> saturate_primary(
   std::vector<std::future<serve::CreditRiskResult>> futures;
   futures.push_back(cluster.submit(req));
 
-  // Wait for the shard's dispatcher to pop the blocker; from here it is
-  // busy for a long while and everything below queues behind it.
+  // Wait for a shared worker to claim the blocker; from here it is busy
+  // for a long while, and with one worker (the callers pin
+  // set_thread_count(1)) everything below queues behind it.
   serve::SamplingServer& primary =
       cluster.shard(cluster.placement_order(id)[0]);
   const auto deadline =
@@ -587,6 +588,31 @@ TEST(ClusterLifecycle, ShutdownDrainsAllShardsAndRejectsLate) {
   EXPECT_EQ(cluster.try_submit(late, &f),
             serve::ServeStatus::kShuttingDown);
   EXPECT_EQ(cluster.metrics().rejected_shutdown, 1u);
+}
+
+TEST(ClusterLifecycle, OneSharedWorkerCompletesWorkOnEveryShard) {
+  ThreadCountGuard guard;
+  exec::set_thread_count(1);
+  serve::ClusterConfig cfg;
+  cfg.num_shards = 4;
+  serve::ShardedSamplingServer cluster(cfg);
+
+  std::vector<std::future<serve::GammaResult>> futures;
+  for (std::uint64_t i = 0; i < 64; ++i) {
+    serve::GammaRequest req;
+    req.id = i + 1;
+    req.count = 32;
+    futures.push_back(cluster.submit(req));
+  }
+  for (auto& f : futures) EXPECT_EQ(f.get().samples.size(), 32u);
+  const serve::ClusterSnapshot snap = cluster.metrics();
+  ASSERT_EQ(snap.shards.size(), 4u);
+  std::uint64_t completed = 0;
+  for (const serve::ShardSnapshot& s : snap.shards) {
+    EXPECT_GT(s.metrics.completed, 0u) << "a shard was never drained";
+    completed += s.metrics.completed;
+  }
+  EXPECT_EQ(completed, futures.size());
 }
 
 TEST(ClusterValidation, InvalidRequestRejectsThroughRouter) {

@@ -13,7 +13,10 @@
 //   * graceful shutdown drains all in-flight work and rejects late
 //     submissions;
 //   * validation rejects malformed requests with kInvalidRequest;
-//   * metrics: counters and nearest-rank latency percentiles;
+//   * shared workers: jobs of one server run on several workers at
+//     once, and one server's shutdown never waits on another's jobs;
+//   * metrics: counters, nearest-rank latency percentiles and queue
+//     wait;
 //   * RingBuffer edge cases under the serve workload shapes (job-sized
 //     payloads): full-queue rejection, wraparound at capacity
 //     boundaries, destruction with items still enqueued.
@@ -22,8 +25,10 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <future>
 #include <memory>
+#include <mutex>
 #include <numeric>
 #include <random>
 #include <thread>
@@ -416,6 +421,10 @@ TEST(ServeBudget, EveryKindAndPathIsGuarded) {
 // ---------------------------------------------------------------------
 
 TEST(ServeBackpressure, FullQueueRejectsFastWithTypedStatus) {
+  // One shared worker: while the blocker holds it, nothing else is
+  // claimed and the queue fills.
+  ThreadCountGuard guard;
+  exec::set_thread_count(1);
   serve::ServerMetrics metrics;
   serve::SchedulerConfig cfg;
   cfg.queue_capacity = 3;
@@ -661,6 +670,120 @@ TEST(ServeRingBuffer, DestructionReleasesEnqueuedItems) {
 }
 
 // ---------------------------------------------------------------------
+// Shared workers: every scheduler drains from one process-wide set
+// ---------------------------------------------------------------------
+
+/// A job that holds the shared worker running it until released.
+struct BlockingJob {
+  std::promise<void> started;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+
+  serve::Job job() {
+    serve::Job j;
+    j.run = [this] {
+      started.set_value();
+      released.wait();
+    };
+    return j;
+  }
+};
+
+TEST(ServeExecutor, SameServerJobsRunConcurrentlyWithoutBatching) {
+  ThreadCountGuard guard;
+  exec::set_thread_count(2);
+  // Each job waits (bounded) until both have started: that only
+  // happens when two workers run jobs of the same scheduler at once.
+  std::mutex mutex;
+  std::condition_variable cv;
+  int started = 0;
+  std::atomic<int> overlapped{0};
+  serve::ServerMetrics metrics;
+  serve::SchedulerConfig cfg;
+  cfg.batching = false;  // one job per claim: two claims, two workers
+  serve::BatchScheduler scheduler(cfg, &metrics);
+  const auto rendezvous = [&] {
+    std::unique_lock lock(mutex);
+    ++started;
+    cv.notify_all();
+    if (cv.wait_for(lock, std::chrono::seconds(5),
+                    [&] { return started == 2; })) {
+      overlapped.fetch_add(1);
+    }
+  };
+  for (int i = 0; i < 2; ++i) {
+    serve::Job job;
+    job.run = rendezvous;
+    ASSERT_EQ(scheduler.try_enqueue(std::move(job)),
+              serve::ServeStatus::kAdmitted);
+  }
+  scheduler.shutdown();
+  EXPECT_EQ(overlapped.load(), 2);
+}
+
+TEST(ServeExecutor, ShutdownReturnsWhileAnotherServersBlockerIsHeld) {
+  ThreadCountGuard guard;
+  exec::set_thread_count(2);
+  BlockingJob blocker;
+  serve::ServerMetrics metrics_b;
+  serve::BatchScheduler server_b(serve::SchedulerConfig{}, &metrics_b);
+  ASSERT_EQ(server_b.try_enqueue(blocker.job()),
+            serve::ServeStatus::kAdmitted);
+  blocker.started.get_future().wait();  // one worker is now held by B
+
+  serve::SamplingServer server_a;
+  std::vector<std::future<serve::GammaResult>> futures;
+  for (std::uint64_t i = 0; i < 8; ++i) {
+    serve::GammaRequest req;
+    req.id = i + 1;
+    req.count = 64;
+    futures.push_back(server_a.submit(req));
+  }
+  auto shutdown_a = std::async(std::launch::async,
+                               [&server_a] { server_a.shutdown(); });
+  const bool returned = shutdown_a.wait_for(std::chrono::seconds(30)) ==
+                        std::future_status::ready;
+  EXPECT_TRUE(returned) << "A's shutdown waited on B's blocker";
+  EXPECT_EQ(server_a.metrics().completed, futures.size());
+  blocker.release.set_value();
+  shutdown_a.wait();
+  for (auto& f : futures) EXPECT_EQ(f.get().samples.size(), 64u);
+  server_b.shutdown();
+  EXPECT_EQ(metrics_b.snapshot().batches, 1u);
+}
+
+TEST(ServeMetrics, QueueWaitCoversTheTimeTheOnlyWorkerWasHeld) {
+  ThreadCountGuard guard;
+  exec::set_thread_count(1);
+  // A blocker on another scheduler holds the one shared worker.
+  BlockingJob blocker;
+  serve::ServerMetrics blocker_metrics;
+  serve::BatchScheduler other(serve::SchedulerConfig{}, &blocker_metrics);
+  ASSERT_EQ(other.try_enqueue(blocker.job()), serve::ServeStatus::kAdmitted);
+  blocker.started.get_future().wait();
+
+  serve::SamplingServer server;
+  serve::GammaRequest req;
+  req.id = 5;
+  req.count = 32;
+  auto future = server.submit(req);
+  const auto admitted_by = std::chrono::steady_clock::now();
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const double held =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                    admitted_by)
+          .count();
+  blocker.release.set_value();
+  (void)future.get();
+  other.shutdown();
+
+  const serve::MetricsSnapshot m = server.metrics();
+  ASSERT_EQ(m.queue_wait.count, 1u);
+  EXPECT_GE(m.queue_wait.min_seconds, held);
+  EXPECT_LE(m.queue_wait.max_seconds, m.latency.max_seconds);
+}
+
+// ---------------------------------------------------------------------
 // Resident CreditRisk+ pipeline (serve/resident_pipeline.h)
 // ---------------------------------------------------------------------
 
@@ -836,7 +959,7 @@ TEST(ServeMetrics, RecorderStorageStaysBoundedUnderLoad) {
   serve::ServerMetrics metrics;
   const std::size_t n = serve::LatencyReservoir::kDefaultCapacity + 5'000;
   for (std::size_t i = 0; i < n; ++i) {
-    metrics.record_completed(1e-6 * static_cast<double>(i + 1),
+    metrics.record_completed(1e-6 * static_cast<double>(i + 1), 0.0,
                              serve::RequestKind::kGamma);
   }
   EXPECT_EQ(metrics.latency_samples_stored(),
