@@ -15,10 +15,10 @@
 //     local size already IS the paper's Fig 5a optimum, so the honest
 //     speedup here is ~1.0x: the search's job is to re-find the
 //     published optimum from scratch, not to beat it.
-//   * serve:classic / serve:resident — host serving knobs against the
-//     calibrated analytic cost model; these two also get a small
-//     MEASURED closed-loop run (default vs tuned SamplingServer) so
-//     the artifact records modeled-vs-measured side by side. Measured
+//   * serve:classic — host serving knobs against the calibrated
+//     analytic cost model; it also gets a small MEASURED closed-loop
+//     run (default vs tuned SamplingServer) so the artifact records
+//     modeled-vs-measured side by side. Measured
 //     numbers are informational (timing noise); the gate below uses
 //     modeled ratios only.
 //
@@ -136,13 +136,11 @@ double measure_serve_rps(const serve::ServeConfig& cfg, unsigned threads,
 /// Build the ServeConfig a TunedConfig describes (the wiring a real
 /// deployment does once at startup).
 serve::ServeConfig serve_config_from(const tune::TunedConfig& cfg,
-                                     bool resident, std::uint32_t seed) {
+                                     std::uint32_t seed) {
   serve::ServeConfig out;
   out.server_seed = seed;
   out.max_batch = cfg.max_batch;
   out.queue_capacity = cfg.queue_capacity;
-  out.resident = resident;
-  out.resident_pipe_depth = cfg.pipe_depth;
   return out;
 }
 
@@ -203,25 +201,20 @@ int main(int argc, char** argv) {
     }));
   }
 
-  // --- serve: classic scheduler path and resident CreditRisk+ path ----
+  // --- serve: the scheduler path every request kind takes ------------
   const std::uint32_t serve_seed = static_cast<std::uint32_t>(args->seed);
   constexpr std::size_t kMeasuredRequests = 128;
-  for (const bool resident : {false, true}) {
+  {
     tune::ServeWorkloadSpec spec;
-    spec.resident = resident;
     spec.thread_candidates = args->threads;
     Entry e =
         tuned_twice("serve", [&] { return tune_serve(spec, opt); });
-    e.measured_default_rps =
-        measure_serve_rps(serve_config_from(e.result.fallback, resident,
-                                            serve_seed),
-                          e.result.fallback.threads, serve_seed,
-                          kMeasuredRequests);
-    e.measured_tuned_rps =
-        measure_serve_rps(serve_config_from(e.result.best, resident,
-                                            serve_seed),
-                          e.result.best.threads, serve_seed,
-                          kMeasuredRequests);
+    e.measured_default_rps = measure_serve_rps(
+        serve_config_from(e.result.fallback, serve_seed),
+        e.result.fallback.threads, serve_seed, kMeasuredRequests);
+    e.measured_tuned_rps = measure_serve_rps(
+        serve_config_from(e.result.best, serve_seed), e.result.best.threads,
+        serve_seed, kMeasuredRequests);
     entries.push_back(std::move(e));
   }
 

@@ -1,6 +1,6 @@
 // Inter-kernel pipeline benchmark: the resident CreditRisk+ chain
 // (finance/pipeline) against its staged and scalar baselines, plus the
-// serve-layer resident mode and the cycle-level pipe-depth model.
+// cycle-level pipe-depth model.
 //
 // Phases:
 //   1. Bit-identity matrix — run_staged vs run_piped across pipe
@@ -13,10 +13,7 @@
 //      way. `wall_seconds` (the piped time) is what the perf CI
 //      polices against bench/baselines/pipeline_creditrisk.json; the
 //      headline is speedup_piped_vs_scalar (the ISSUE's >= 1.5x).
-//   3. Serve resident mode — classic scheduler dispatch vs the
-//      resident sampler→aggregator kernels, byte-compared responses
-//      (`resident_identical`, fatal) and req/s both ways.
-//   4. Pipe-depth model — fpga::simulate_pipeline stall/cycle counts
+//   3. Pipe-depth model — fpga::simulate_pipeline stall/cycle counts
 //      across depths next to the scheduler's inter-kernel RecMII bound
 //      (the depth-tuning table of docs/PERF.md).
 //
@@ -24,11 +21,9 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <functional>
-#include <future>
 #include <iostream>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -40,7 +35,6 @@
 #include "finance/portfolio.h"
 #include "fpga/pipeline_sim.h"
 #include "fpga/scheduler.h"
-#include "serve/sampling_server.h"
 
 namespace {
 
@@ -100,28 +94,20 @@ int main(int argc, char** argv) {
   std::vector<std::string> extra;
   const auto args = bench::parse_bench_args(
       argc, argv, "pipeline_creditrisk", "BENCH_pipeline.json",
-      "[--scenarios=N] [--serve-requests=N] [--serve-scenarios=N]", &extra);
+      "[--scenarios=N]", &extra);
   if (!args) return 2;
 
   std::uint64_t scenarios = 100'000;
-  std::size_t serve_requests = 24;
-  std::uint64_t serve_scenarios = 2'000;
   for (const std::string& arg : extra) {
     if (arg.rfind("--scenarios=", 0) == 0) {
       scenarios = std::strtoull(arg.c_str() + 12, nullptr, 10);
-    } else if (arg.rfind("--serve-requests=", 0) == 0) {
-      serve_requests = static_cast<std::size_t>(
-          std::strtoull(arg.c_str() + 17, nullptr, 10));
-    } else if (arg.rfind("--serve-scenarios=", 0) == 0) {
-      serve_scenarios = std::strtoull(arg.c_str() + 18, nullptr, 10);
     } else {
       std::cerr << "pipeline_creditrisk: unknown flag " << arg << "\n";
       return 2;
     }
   }
-  if (scenarios < 2 || serve_requests < 1 || serve_scenarios < 2) {
-    std::cerr << "pipeline_creditrisk: need scenarios>=2, "
-                 "serve-requests>=1, serve-scenarios>=2\n";
+  if (scenarios < 2) {
+    std::cerr << "pipeline_creditrisk: need scenarios>=2\n";
     return 2;
   }
 
@@ -241,83 +227,7 @@ int main(int argc, char** argv) {
               << p.stats.bundles_discarded << "\n";
   }
 
-  // ==== Phase 3: serve classic vs resident ============================
-  struct ServePoint {
-    const char* strategy = "";
-    double classic_seconds = 0.0;
-    double resident_seconds = 0.0;
-    bool identical = true;
-  };
-  std::vector<ServePoint> serve_points;
-  bool resident_identical = true;
-  {
-    const auto shared = std::make_shared<const finance::Portfolio>(
-        bench_portfolio(args->seed));
-    {
-      ServePoint sp;
-      sp.strategy = "counter_based";  // the serving layer's only streams
-      std::vector<serve::CreditRiskResult> classic_results;
-      std::vector<serve::CreditRiskResult> resident_results;
-      for (const bool resident : {false, true}) {
-        serve::ServeConfig cfg;
-        cfg.server_seed = static_cast<std::uint32_t>(args->seed);
-        cfg.queue_capacity = serve_requests + 1;
-        cfg.resident = resident;
-        serve::SamplingServer server(cfg);
-        std::vector<std::future<serve::CreditRiskResult>> futures;
-        futures.reserve(serve_requests);
-        const double wall = time_seconds([&] {
-          for (std::size_t i = 0; i < serve_requests; ++i) {
-            serve::CreditRiskRequest req;
-            req.id = i + 1;
-            req.portfolio = shared;
-            req.num_scenarios = serve_scenarios;
-            futures.push_back(server.submit(req));
-          }
-          for (auto& f : futures) {
-            (resident ? resident_results : classic_results)
-                .push_back(f.get());
-          }
-        });
-        (resident ? sp.resident_seconds : sp.classic_seconds) = wall;
-      }
-      sp.identical =
-          std::memcmp(classic_results.data(), resident_results.data(),
-                      classic_results.size() *
-                          sizeof(serve::CreditRiskResult)) == 0;
-      resident_identical &= sp.identical;
-      serve_points.push_back(sp);
-    }
-  }
-
-  std::cout << "\n=== Serve: classic dispatch vs resident pipeline ("
-            << serve_requests << " requests x " << serve_scenarios
-            << " scenarios) ===\n";
-  {
-    TextTable t;
-    t.set_header({"Strategy", "Classic [s]", "Resident [s]", "Classic rps",
-                  "Resident rps", "Identical"});
-    for (const auto& sp : serve_points) {
-      t.add_row(
-          {sp.strategy, TextTable::num(sp.classic_seconds, 3),
-           TextTable::num(sp.resident_seconds, 3),
-           TextTable::num(static_cast<double>(serve_requests) /
-                              sp.classic_seconds,
-                          1),
-           TextTable::num(static_cast<double>(serve_requests) /
-                              sp.resident_seconds,
-                          1),
-           sp.identical ? "yes" : "NO"});
-    }
-    t.render(std::cout);
-  }
-  std::cout << (resident_identical
-                    ? "Resident serving responses are byte-identical to the "
-                      "classic path."
-                    : "ERROR: resident serving changed response bytes!")
-            << "\n";
-
-  // ==== Phase 4: pipe-depth model (cycle-level) =======================
+  // ==== Phase 3: pipe-depth model (cycle-level) =======================
   struct DepthPoint {
     std::size_t depth = 0;
     std::uint64_t cycles = 0;
@@ -379,7 +289,6 @@ int main(int argc, char** argv) {
     j.kv("sectors", static_cast<std::uint64_t>(portfolio.num_sectors()));
     j.kv("obligors", static_cast<std::uint64_t>(portfolio.num_obligors()));
     j.kv("piped_vs_staged_identical", piped_identical);
-    j.kv("resident_identical", resident_identical);
     j.key("sweep").begin_array();
     for (const auto& p : sweep) {
       j.begin_object();
@@ -394,19 +303,6 @@ int main(int argc, char** argv) {
       j.kv("uniform_pipe_full", p.stats.uniform_pipe_full);
       j.kv("gamma_pipe_empty", p.stats.gamma_pipe_empty);
       j.kv("aggregate_pipe_empty", p.stats.aggregate_pipe_empty);
-      j.end_object();
-    }
-    j.end_array();
-    j.key("serve").begin_array();
-    for (const auto& sp : serve_points) {
-      j.begin_object();
-      j.kv("strategy", sp.strategy);
-      j.kv("classic_seconds", sp.classic_seconds);
-      j.kv("resident_seconds", sp.resident_seconds);
-      j.kv("classic_rps",
-           static_cast<double>(serve_requests) / sp.classic_seconds);
-      j.kv("resident_rps",
-           static_cast<double>(serve_requests) / sp.resident_seconds);
       j.end_object();
     }
     j.end_array();
@@ -426,9 +322,8 @@ int main(int argc, char** argv) {
     std::cout << "\nWrote " << args->json_path << "\n";
   }
 
-  const bool ok = piped_identical && resident_identical;
   std::cout << "headline: piped "
             << sweep.back().scalar_seconds / sweep.back().piped_seconds
             << "x over the scalar staged baseline\n";
-  return ok ? 0 : 1;
+  return piped_identical ? 0 : 1;
 }

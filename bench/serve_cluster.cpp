@@ -4,7 +4,7 @@
 // Two phases:
 //   1. Cross-shard determinism fingerprints — one fixed request set is
 //      served through clusters of {1, 2, 4, 8} shards, under both
-//      routing policies and the resident pipeline; per-request results
+//      routing policies and stealing on and off; per-request results
 //      must be bit-identical in every cell (the cluster determinism
 //      contract, pinned by tests/test_cluster.cpp). Any divergence
 //      fails the bench (exit 1) and trips compare_bench.py via
@@ -235,23 +235,15 @@ int main(int argc, char** argv) {
     std::size_t shards;
     serve::RouterPolicy policy;
     bool steal;
-    bool resident;
   };
   const Cell cells[] = {
-      {"1 shard, hash, steal", 1, serve::RouterPolicy::kConsistentHash,
-       true, false},
-      {"2 shards, hash, steal", 2, serve::RouterPolicy::kConsistentHash,
-       true, false},
-      {"4 shards, hash, steal", 4, serve::RouterPolicy::kConsistentHash,
-       true, false},
-      {"8 shards, hash, steal", 8, serve::RouterPolicy::kConsistentHash,
-       true, false},
-      {"4 shards, least-loaded", 4, serve::RouterPolicy::kLeastLoaded,
-       true, false},
+      {"1 shard, hash, steal", 1, serve::RouterPolicy::kConsistentHash, true},
+      {"2 shards, hash, steal", 2, serve::RouterPolicy::kConsistentHash, true},
+      {"4 shards, hash, steal", 4, serve::RouterPolicy::kConsistentHash, true},
+      {"8 shards, hash, steal", 8, serve::RouterPolicy::kConsistentHash, true},
+      {"4 shards, least-loaded", 4, serve::RouterPolicy::kLeastLoaded, true},
       {"4 shards, hash, no steal", 4, serve::RouterPolicy::kConsistentHash,
-       false, false},
-      {"4 shards, hash, resident", 4, serve::RouterPolicy::kConsistentHash,
-       true, true},
+       false},
   };
   constexpr std::size_t kCells = sizeof(cells) / sizeof(cells[0]);
   std::uint64_t fingerprints[kCells] = {};
@@ -259,7 +251,6 @@ int main(int argc, char** argv) {
     serve::ClusterConfig cfg = cluster_config(spec, cells[c].shards);
     cfg.policy = cells[c].policy;
     cfg.steal = cells[c].steal;
-    cfg.shard.resident = cells[c].resident;
     serve::ShardedSamplingServer cluster(cfg);
     fingerprints[c] = run_set_fingerprint(cluster, items);
   }

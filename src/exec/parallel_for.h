@@ -90,9 +90,14 @@ void drain(ParallelForState& st, F* f) {
 }  // namespace detail
 
 /// Run f(i) for every i in [0, n), in parallel over the global pool.
+/// A single index runs inline on the caller without touching the pool.
 template <typename F>
 void parallel_for(std::size_t n, F&& f) {
   if (n == 0) return;
+  if (n == 1) {
+    f(std::size_t{0});
+    return;
+  }
   ThreadPool& pool = global_pool();
   const std::size_t helpers =
       std::min<std::size_t>(pool.workers(), n - 1);

@@ -67,10 +67,10 @@ LossDistribution simulate_losses(const Portfolio& portfolio,
 /// Streaming form of the Monte-Carlo consumer: the conditional-Poisson
 /// loss accumulator of the CreditRisk+/Panjer model, fed one scenario
 /// row (all sector draws) at a time. simulate_losses is expressed on
-/// top of this, and the pipelined engines (finance/pipeline, the
-/// resident serving chain) feed it from a pipe instead of a callback —
-/// consuming rows in scenario order reproduces simulate_losses bit for
-/// bit, because the Poisson engine state advances identically.
+/// top of this, and the pipelined engines (finance/pipeline) feed it
+/// from a pipe instead of a callback — consuming rows in scenario order
+/// reproduces simulate_losses bit for bit, because the Poisson engine
+/// state advances identically.
 class ScenarioAggregator {
  public:
   /// `poisson_seed` is McConfig::seed.

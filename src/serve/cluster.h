@@ -33,7 +33,7 @@
 // configured with the SAME server_seed, so a request's response is
 // derived from (server_seed, request id) counter-based substreams
 // no matter which shard computes it. Shard count, routing policy,
-// stealing, resident mode and thread count cannot move a single bit of
+// stealing, batching and thread count cannot move a single bit of
 // any response — placement is invisible in the bytes, which is what
 // makes stealing and re-sharding safe.
 #pragma once
@@ -118,7 +118,7 @@ struct ClusterConfig {
   /// Per-shard server configuration. Every shard gets an identical
   /// copy — one server_seed for the whole cluster is precisely what
   /// makes placement irrelevant to response bytes. queue_capacity,
-  /// resident, substream geometry etc. all apply per shard.
+  /// batching, substream geometry etc. all apply per shard.
   /// (shard.response_cache_entries turns on a PER-SHARD response
   /// cache; with consistent-hash placement, retries of an id land on
   /// the shard that cached it.)

@@ -12,7 +12,7 @@ namespace {
 
 std::size_t kind_index(RequestKind kind) {
   const auto i = static_cast<std::size_t>(kind);
-  DWI_ASSERT(i < kMaxRequestKinds);
+  DWI_ASSERT(i < kNumRequestKinds);
   return i;
 }
 

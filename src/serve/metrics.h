@@ -18,16 +18,6 @@
 
 namespace dwi::serve {
 
-/// Capacity of the per-kind counter arrays below. Deliberately a
-/// little above kNumRequestKinds so growing the enum does not ripple
-/// through every snapshot consumer; index with
-/// static_cast<std::size_t>(kind) and name rows via
-/// to_string(RequestKind).
-inline constexpr std::size_t kMaxRequestKinds = 8;
-static_assert(kNumRequestKinds <= kMaxRequestKinds,
-              "per-kind counter arrays are too small for the RequestKind "
-              "enum — bump kMaxRequestKinds");
-
 /// Order statistics over a latency sample set (nearest-rank
 /// percentiles, the convention load-testing tools report).
 struct LatencySummary {
@@ -79,28 +69,6 @@ class LatencyReservoir {
 /// all-zero summary).
 LatencySummary summarize_latencies(std::vector<double> seconds);
 
-/// Blocking-stall counters of the resident pipeline's three pipes
-/// (serve/resident_pipeline.h): how many write()/read() calls had to
-/// block on a full/empty pipe since the server started. Monotone
-/// non-decreasing over a server's lifetime and all-zero when the
-/// resident mode is off — the serve-level mirror of the
-/// fpga::PipelineSim full/empty stall cycles, used to tune
-/// resident_pipe_depth / resident_row_block (docs/PERF.md).
-struct PipeStallCounters {
-  std::uint64_t admission_write_stalls = 0;
-  std::uint64_t admission_read_stalls = 0;
-  std::uint64_t handoff_write_stalls = 0;
-  std::uint64_t handoff_read_stalls = 0;
-  std::uint64_t rows_write_stalls = 0;
-  std::uint64_t rows_read_stalls = 0;
-
-  std::uint64_t total() const {
-    return admission_write_stalls + admission_read_stalls +
-           handoff_write_stalls + handoff_read_stalls + rows_write_stalls +
-           rows_read_stalls;
-  }
-};
-
 /// Point-in-time copy of every metric the server tracks. The latency
 /// summary covers *finished* requests (completed or failed),
 /// admission→completion; `queue_wait` covers the same requests,
@@ -125,8 +93,8 @@ struct MetricsSnapshot {
   /// static_cast<std::size_t>(kind) and named via to_string(kind) —
   /// the observability the multi-workload zoo needs (which kinds a
   /// shard actually serves). Sums equal the totals above.
-  std::array<std::uint64_t, kMaxRequestKinds> submitted_by_kind{};
-  std::array<std::uint64_t, kMaxRequestKinds> completed_by_kind{};
+  std::array<std::uint64_t, kNumRequestKinds> submitted_by_kind{};
+  std::array<std::uint64_t, kNumRequestKinds> completed_by_kind{};
   std::size_t queue_high_water = 0;     ///< max observed admission depth
   std::uint64_t batches = 0;            ///< batches dispatched
   std::size_t max_batch_occupancy = 0;
@@ -135,10 +103,6 @@ struct MetricsSnapshot {
   /// Time queued before a worker started the job. A cache hit never
   /// queues and records 0, as its latency does.
   LatencySummary queue_wait;
-  /// Resident-pipeline pipe stalls; all-zero (and `resident` false)
-  /// when the server runs the classic scheduler path only.
-  bool resident = false;
-  PipeStallCounters resident_pipes;
 };
 
 class ServerMetrics {
@@ -175,8 +139,8 @@ class ServerMetrics {
   std::uint64_t failed_ = 0;
   std::uint64_t cache_hits_ = 0;
   std::uint64_t cache_misses_ = 0;
-  std::array<std::uint64_t, kMaxRequestKinds> submitted_by_kind_{};
-  std::array<std::uint64_t, kMaxRequestKinds> completed_by_kind_{};
+  std::array<std::uint64_t, kNumRequestKinds> submitted_by_kind_{};
+  std::array<std::uint64_t, kNumRequestKinds> completed_by_kind_{};
   std::size_t queue_high_water_ = 0;
   std::uint64_t batches_ = 0;
   std::size_t max_batch_occupancy_ = 0;

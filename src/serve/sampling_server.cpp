@@ -60,33 +60,16 @@ SamplingServer::SamplingServer(ServeConfig cfg)
   sched.max_batch = cfg_.max_batch;
   sched.batching = cfg_.batching;
   scheduler_ = std::make_unique<BatchScheduler>(sched, &metrics_);
-  if (cfg_.resident) {
-    resident_ = std::make_unique<ResidentPipeline>(
-        *this, &metrics_, cfg_.queue_capacity, cfg_.resident_pipe_depth,
-        cfg_.resident_row_block, cache_.get());
-  }
 }
 
 SamplingServer::~SamplingServer() { shutdown(); }
 
-void SamplingServer::shutdown() {
-  if (resident_) resident_->shutdown();
-  scheduler_->shutdown();
-}
+void SamplingServer::shutdown() { scheduler_->shutdown(); }
 
-MetricsSnapshot SamplingServer::metrics() const {
-  MetricsSnapshot s = metrics_.snapshot();
-  if (resident_) {
-    s.resident = true;
-    s.resident_pipes = resident_->pipe_stalls();
-  }
-  return s;
-}
+MetricsSnapshot SamplingServer::metrics() const { return metrics_.snapshot(); }
 
 std::size_t SamplingServer::queue_depth() const {
-  std::size_t depth = scheduler_->queue_depth();
-  if (resident_) depth += resident_->queue_depth();
-  return depth;
+  return scheduler_->queue_depth();
 }
 
 rng::Philox SamplingServer::gamma_stream(RequestId id) const {

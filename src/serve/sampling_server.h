@@ -45,7 +45,6 @@
 #include "serve/capacity.h"
 #include "serve/metrics.h"
 #include "serve/request.h"
-#include "serve/resident_pipeline.h"
 #include "serve/response_cache.h"
 
 namespace dwi::serve {
@@ -88,22 +87,6 @@ struct ServeConfig {
   /// longer reads it; it stays so callers that replay jump-ahead
   /// substreams on the serve geometry keep compiling.
   rng::MtParams mt = rng::mt521_params();
-
-  /// Resident CreditRisk+ pipeline (serve/resident_pipeline.h): route
-  /// CreditRisk+ requests to two permanently resident kernels
-  /// (sampler → aggregator over hls::Pipe) instead of per-request
-  /// dispatch through the BatchScheduler. Responses are byte-identical
-  /// either way (the resident path derives the same substreams and
-  /// consumes them in the same order); what changes is execution shape
-  /// — no per-request launches, and aggregation overlaps sampling.
-  /// Gamma requests always use the classic scheduler. Default off so
-  /// the classic path's scheduling metrics and baselines are
-  /// undisturbed.
-  bool resident = false;
-  /// Scenario rows per block on the resident sampler→aggregator pipe.
-  std::size_t resident_row_block = 64;
-  /// Depth of the resident handoff and row pipes.
-  std::size_t resident_pipe_depth = 8;
 
   /// Modeled-capacity admission (serve/capacity.h). When enabled
   /// (modeled_rps > 0, normally filled in by tune::apply_capacity),
@@ -161,19 +144,14 @@ class SamplingServer {
 
   /// Stop admitting, wait until every request this server admitted has
   /// run, fulfill every accepted future. Joins no thread of the shared
-  /// workers and never waits on another server's requests (the
-  /// resident kernels, when on, are this server's own and are joined).
-  /// Idempotent.
+  /// workers and never waits on another server's requests. Idempotent.
   void shutdown();
 
-  /// Snapshot of the server's counters and latency summary; in
-  /// resident mode the snapshot also carries the pipeline's pipe
-  /// stall counters (zero otherwise).
+  /// Snapshot of the server's counters and latency summary.
   MetricsSnapshot metrics() const;
   const ServeConfig& config() const { return cfg_; }
 
-  /// Current admission occupancy (scheduler FIFO plus, in resident
-  /// mode, the resident admission pipe). The cluster router's
+  /// Current admission-queue occupancy. The cluster router's
   /// least-loaded placement reads this.
   std::size_t queue_depth() const;
 
@@ -219,8 +197,7 @@ class SamplingServer {
   bool serve_from_cache(const Request& req,
                         std::future<ResultOf<Request>>* out, bool* cache_hit);
 
-  /// Admit `req` onto the batch scheduler (or, for CreditRisk+ in
-  /// resident mode, the resident pipeline's admission pipe).
+  /// Admit `req` onto the batch scheduler.
   template <ServeRequest Request>
   ServeStatus enqueue(const Request& req, std::future<ResultOf<Request>>* out);
 
@@ -231,13 +208,10 @@ class SamplingServer {
   rng::CounterSubstreams streams_;
   ServerMetrics metrics_;
   /// Response cache (cfg_.response_cache_entries; null when disabled).
-  /// Declared before the scheduler/resident chain so in-flight jobs
-  /// can still insert while those drain on shutdown.
+  /// Declared before the scheduler so in-flight jobs can still insert
+  /// while it drains on shutdown.
   std::unique_ptr<ResponseCache> cache_;
   std::unique_ptr<BatchScheduler> scheduler_;
-  /// Resident CreditRisk+ chain (cfg_.resident); declared after the
-  /// scheduler so it drains first on destruction.
-  std::unique_ptr<ResidentPipeline> resident_;
 };
 
 template <ServeRequest Request>
@@ -282,17 +256,6 @@ template <ServeRequest Request>
 ServeStatus SamplingServer::enqueue(const Request& req,
                                     std::future<ResultOf<Request>>* out) {
   using Result = ResultOf<Request>;
-  if constexpr (kind_of<Request> == RequestKind::kCreditRisk) {
-    if (resident_) {
-      // Resident chain: admitted straight onto the pipeline's bounded
-      // admission pipe; the aggregator kernel records completion.
-      const ServeStatus status = resident_->try_enqueue(req, out);
-      if (status == ServeStatus::kAdmitted) {
-        metrics_.record_admitted(resident_->queue_depth());
-      }
-      return status;
-    }
-  }
   auto promise = std::make_shared<std::promise<Result>>();
   std::future<Result> future = promise->get_future();
   Job job;

@@ -356,10 +356,10 @@ constexpr double kModeledConcurrency = 4.0;
 
 double modeled_serve_rps(const ServeWorkloadSpec& spec,
                          std::size_t max_batch, std::size_t queue_capacity,
-                         unsigned threads, std::size_t pipe_depth) {
+                         unsigned threads) {
   DWI_REQUIRE(threads >= 1, "serve model: need at least one thread");
-  DWI_REQUIRE(max_batch >= 1 && queue_capacity >= 1 && pipe_depth >= 1,
-              "serve model: batch/queue/pipe bounds must be >= 1");
+  DWI_REQUIRE(max_batch >= 1 && queue_capacity >= 1,
+              "serve model: batch/queue bounds must be >= 1");
   DWI_REQUIRE(spec.gamma_fraction >= 0.0 && spec.gamma_fraction <= 1.0,
               "serve model: gamma_fraction must be in [0, 1]");
 
@@ -382,14 +382,8 @@ double modeled_serve_rps(const ServeWorkloadSpec& spec,
                static_cast<double>(spec.credit_scenarios) *
                    (sectors * kSampleSeconds +
                     static_cast<double>(spec.credit_obligors) *
-                        kObligorSeconds);
-    if (spec.resident) {
-      // Resident path: no per-request scheduler dispatch, but shallow
-      // pipes stall the sampler↔aggregator handoff.
-      t_credit *= 1.0 + 0.5 / static_cast<double>(pipe_depth);
-    } else {
-      t_credit += dispatch;
-    }
+                        kObligorSeconds) +
+               dispatch;
   }
 
   const double t = spec.gamma_fraction * t_gamma +
@@ -422,12 +416,8 @@ TuneResult tune_serve(const ServeWorkloadSpec& spec,
     }
     knobs.push_back(Knob{"threads", std::move(threads), 0});
   }
-  knobs.push_back(Knob{"pipe_depth",
-                       spec.resident ? std::vector<std::uint64_t>{2, 8, 32}
-                                     : std::vector<std::uint64_t>{8},
-                       spec.resident ? 1u : 0u});
 
-  enum { kBatch, kQueue, kThreads, kPipe };
+  enum { kBatch, kQueue, kThreads };
 
   const FeasibleFn feasible = [&](const Point& p) {
     return p[kBatch] <= p[kQueue];
@@ -435,8 +425,7 @@ TuneResult tune_serve(const ServeWorkloadSpec& spec,
   const ObjectiveFn objective = [&](const Point& p) {
     return modeled_serve_rps(spec, static_cast<std::size_t>(p[kBatch]),
                              static_cast<std::size_t>(p[kQueue]),
-                             static_cast<unsigned>(p[kThreads]),
-                             static_cast<std::size_t>(p[kPipe]));
+                             static_cast<unsigned>(p[kThreads]));
   };
 
   const SearchOutcome search =
@@ -444,13 +433,12 @@ TuneResult tune_serve(const ServeWorkloadSpec& spec,
 
   const auto to_config = [&](const Point& p, double obj) {
     TunedConfig cfg;
-    cfg.workload = spec.resident ? "serve:resident" : "serve:classic";
+    cfg.workload = "serve:classic";
     cfg.device = "host";
     cfg.seed = options.seed;
     cfg.max_batch = static_cast<std::size_t>(p[kBatch]);
     cfg.queue_capacity = static_cast<std::size_t>(p[kQueue]);
     cfg.threads = static_cast<unsigned>(p[kThreads]);
-    cfg.pipe_depth = static_cast<std::size_t>(p[kPipe]);
     cfg.modeled_throughput = obj;
     cfg.feasible = true;
     return cfg;

@@ -15,10 +15,9 @@
 //   * fig5 (SIMT): {local size, global size} against the
 //     fixed-architecture runtime estimator. Feasibility = the OpenCL
 //     NDRange rule (local divides global).
-//   * serve (host): {batch window, queue bound, thread count, resident
-//     pipe depth} against a calibrated analytic
-//     cost model (modeled_serve_rps below) — deterministic, so CI can
-//     gate on it without timing noise.
+//   * serve (host): {batch window, queue bound, thread count} against
+//     a calibrated analytic cost model (modeled_serve_rps below) —
+//     deterministic, so CI can gate on it without timing noise.
 //
 // Determinism: the search is a pure function of (workload, options).
 // The only randomness is a splitmix64-seeded knob visiting order; no
@@ -104,9 +103,6 @@ struct ServeWorkloadSpec {
   std::uint64_t credit_scenarios = 256;
   std::size_t credit_sectors = 2;
   std::size_t credit_obligors = 48;
-  /// Price the resident CreditRisk+ pipeline instead of the classic
-  /// scheduler path (adds the pipe-depth knob).
-  bool resident = false;
   /// Thread counts the deployment can actually use (the host's core
   /// budget); the tuner picks among these, never invents one.
   std::vector<unsigned> thread_candidates = {1};
@@ -114,7 +110,7 @@ struct ServeWorkloadSpec {
 
 /// Tune the serving configuration for `spec`. Objective:
 /// modeled_serve_rps. Default point: ServeConfig's defaults
-/// (max_batch 16, queue 256, 1 thread, pipe depth 8).
+/// (max_batch 16, queue 256, 1 thread).
 TuneResult tune_serve(const ServeWorkloadSpec& spec,
                       const TunerOptions& options = {});
 
@@ -125,6 +121,6 @@ TuneResult tune_serve(const ServeWorkloadSpec& spec,
 /// reference host (docs/TUNING.md lists them with their provenance).
 double modeled_serve_rps(const ServeWorkloadSpec& spec,
                          std::size_t max_batch, std::size_t queue_capacity,
-                         unsigned threads, std::size_t pipe_depth);
+                         unsigned threads);
 
 }  // namespace dwi::tune

@@ -61,7 +61,6 @@ std::string format_tuned_config(const TunedConfig& cfg) {
   out << "threads=" << cfg.threads << '\n';
   out << "max_batch=" << cfg.max_batch << '\n';
   out << "queue_capacity=" << cfg.queue_capacity << '\n';
-  out << "pipe_depth=" << cfg.pipe_depth << '\n';
   out << "modeled_throughput=" << format_double(cfg.modeled_throughput)
       << '\n';
   out << "feasible=" << (cfg.feasible ? "true" : "false") << '\n';
@@ -107,8 +106,6 @@ TunedConfig parse_tuned_config(const std::string& text) {
       cfg.max_batch = static_cast<std::size_t>(parse_u64(key, value));
     } else if (key == "queue_capacity") {
       cfg.queue_capacity = static_cast<std::size_t>(parse_u64(key, value));
-    } else if (key == "pipe_depth") {
-      cfg.pipe_depth = static_cast<std::size_t>(parse_u64(key, value));
     } else if (key == "modeled_throughput") {
       cfg.modeled_throughput = parse_f64(key, value);
     } else if (key == "feasible") {

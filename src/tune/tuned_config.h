@@ -39,7 +39,6 @@ struct TunedConfig {
   unsigned threads = 1;
   std::size_t max_batch = 16;       ///< serve batch coalescing window
   std::size_t queue_capacity = 256; ///< admission-queue bound
-  std::size_t pipe_depth = 8;       ///< resident pipes (resident mode)
 
   /// Objective value of this point: modeled throughput in units/second
   /// (samples/s for table3, runs/s for fig5, requests/s for serve).

@@ -2,8 +2,8 @@
 //   * the cross-shard determinism matrix — a fixed request set with a
 //     fixed server seed yields bit-identical responses across shard
 //     counts {1, 2, 4, 8}, both routing policies, stealing on/off,
-//     resident/classic execution, thread counts, and heterogeneous
-//     device bindings (FPGA / CPU / GPU / PHI shards);
+//     batching on/off, thread counts, and heterogeneous device
+//     bindings (FPGA / CPU / GPU / PHI shards);
 //   * consistent-hash ring properties: per-shard load balanced within
 //     bounds, minimal remap when a shard is added or removed,
 //     preference order starts at the owner and covers every shard;
@@ -12,10 +12,7 @@
 //     the overflow elsewhere (steal on) with identical response bytes;
 //   * offline reproduction at cluster scope: any served response is
 //     recomputable from (server_seed, request id) alone via
-//     Philox::seek, placement unknown and unneeded;
-//   * resident pipe stall counters: monotone in resident mode,
-//     surfaced through shard and cluster snapshots, zero in classic
-//     mode.
+//     Philox::seek, placement unknown and unneeded.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -228,11 +225,11 @@ struct MatrixCell {
   std::size_t shards;
   serve::RouterPolicy policy;
   bool steal;
-  bool resident;
+  bool batching;
   unsigned threads;  // exec pool size for the cell
 };
 
-TEST(ClusterDeterminism, MatrixBitIdenticalAcrossShardsPoliciesStealResident) {
+TEST(ClusterDeterminism, MatrixBitIdenticalAcrossShardsPoliciesStealBatching) {
   ThreadCountGuard guard;
   const auto items = mixed_request_set();
 
@@ -245,7 +242,7 @@ TEST(ClusterDeterminism, MatrixBitIdenticalAcrossShardsPoliciesStealResident) {
   base.devices = {minicl::BackendKind::kFpga, minicl::BackendKind::kCpu,
                   minicl::BackendKind::kGpu, minicl::BackendKind::kPhi};
 
-  // Reference: one shard, no stealing, classic path, one thread.
+  // Reference: one shard, no stealing, batching on, one thread.
   exec::set_thread_count(1);
   ServedResults reference;
   {
@@ -258,18 +255,18 @@ TEST(ClusterDeterminism, MatrixBitIdenticalAcrossShardsPoliciesStealResident) {
 
   const MatrixCell cells[] = {
       // Shard-count sweep at defaults (hash routing, steal on).
-      {1, serve::RouterPolicy::kConsistentHash, true, false, 1},
-      {2, serve::RouterPolicy::kConsistentHash, true, false, 1},
-      {4, serve::RouterPolicy::kConsistentHash, true, false, 1},
-      {8, serve::RouterPolicy::kConsistentHash, true, false, 1},
-      // Each remaining dimension flipped at 4 shards.
-      {4, serve::RouterPolicy::kLeastLoaded, true, false, 1},
-      {4, serve::RouterPolicy::kConsistentHash, false, false, 1},
+      {1, serve::RouterPolicy::kConsistentHash, true, true, 1},
+      {2, serve::RouterPolicy::kConsistentHash, true, true, 1},
       {4, serve::RouterPolicy::kConsistentHash, true, true, 1},
-      {4, serve::RouterPolicy::kConsistentHash, true, false, 4},
+      {8, serve::RouterPolicy::kConsistentHash, true, true, 1},
+      // Each remaining dimension flipped at 4 shards.
+      {4, serve::RouterPolicy::kLeastLoaded, true, true, 1},
+      {4, serve::RouterPolicy::kConsistentHash, false, true, 1},
+      {4, serve::RouterPolicy::kConsistentHash, true, false, 1},
+      {4, serve::RouterPolicy::kConsistentHash, true, true, 4},
       // Everything at once.
-      {2, serve::RouterPolicy::kLeastLoaded, false, true, 4},
-      {8, serve::RouterPolicy::kLeastLoaded, true, true, 2},
+      {2, serve::RouterPolicy::kLeastLoaded, false, false, 4},
+      {8, serve::RouterPolicy::kLeastLoaded, true, false, 2},
   };
 
   for (const MatrixCell& cell : cells) {
@@ -278,13 +275,13 @@ TEST(ClusterDeterminism, MatrixBitIdenticalAcrossShardsPoliciesStealResident) {
     cfg.num_shards = cell.shards;
     cfg.policy = cell.policy;
     cfg.steal = cell.steal;
-    cfg.shard.resident = cell.resident;
+    cfg.shard.batching = cell.batching;
     serve::ShardedSamplingServer cluster(cfg);
     const ServedResults got = serve_set(cluster, items);
     SCOPED_TRACE(::testing::Message()
                  << "shards=" << cell.shards << " policy="
                  << serve::to_string(cell.policy) << " steal=" << cell.steal
-                 << " resident=" << cell.resident
+                 << " batching=" << cell.batching
                  << " threads=" << cell.threads);
     expect_identical(reference, got, items);
 
@@ -321,7 +318,7 @@ TEST(ClusterDeterminism, CounterBasedMatrixMatchesSingleShard) {
   }
   for (const std::size_t shards : {2u, 4u, 8u}) {
     cfg.num_shards = shards;
-    cfg.shard.resident = (shards == 4);  // one resident cell here too
+    cfg.shard.batching = (shards != 4);  // one unbatched cell here too
     serve::ShardedSamplingServer cluster(cfg);
     SCOPED_TRACE(::testing::Message() << "shards=" << shards);
     expect_identical(reference, serve_set(cluster, items), items);
@@ -700,81 +697,6 @@ TEST(ClusterOfflineReproduction, SeekRecomputesServedResponsesByteExact) {
     EXPECT_EQ(served_credit.var999, dist.value_at_risk(0.999));
     EXPECT_EQ(served_credit.es999, dist.expected_shortfall(0.999));
   }
-}
-
-// ---------------------------------------------------------------------
-// Resident pipe stall counters in the metrics snapshot
-// ---------------------------------------------------------------------
-
-void expect_monotone(const serve::PipeStallCounters& a,
-                     const serve::PipeStallCounters& b) {
-  EXPECT_GE(b.admission_write_stalls, a.admission_write_stalls);
-  EXPECT_GE(b.admission_read_stalls, a.admission_read_stalls);
-  EXPECT_GE(b.handoff_write_stalls, a.handoff_write_stalls);
-  EXPECT_GE(b.handoff_read_stalls, a.handoff_read_stalls);
-  EXPECT_GE(b.rows_write_stalls, a.rows_write_stalls);
-  EXPECT_GE(b.rows_read_stalls, a.rows_read_stalls);
-}
-
-TEST(ResidentPipeStalls, MonotoneAndSurfacedInResidentSnapshots) {
-  ThreadCountGuard guard;
-  exec::set_thread_count(1);
-  serve::ServeConfig cfg;
-  cfg.resident = true;
-  cfg.resident_row_block = 1;  // one pipe transfer per scenario row
-  cfg.resident_pipe_depth = 1;
-  serve::SamplingServer server(cfg);
-
-  serve::CreditRiskRequest req;
-  req.portfolio = test_portfolio();
-  req.num_scenarios = 256;
-  req.id = 1;
-  server.run(req);
-
-  const serve::MetricsSnapshot s1 = server.metrics();
-  EXPECT_TRUE(s1.resident);
-  // The resident kernels block on their empty input pipes at startup,
-  // so a served request implies at least those read stalls.
-  EXPECT_GT(s1.resident_pipes.total(), 0u);
-
-  req.id = 2;
-  server.run(req);
-  const serve::MetricsSnapshot s2 = server.metrics();
-  expect_monotone(s1.resident_pipes, s2.resident_pipes);
-  EXPECT_GE(s2.resident_pipes.total(), s1.resident_pipes.total());
-
-  // The cluster snapshot carries the same counters per shard.
-  serve::ClusterConfig ccfg;
-  ccfg.num_shards = 2;
-  ccfg.shard = cfg;
-  serve::ShardedSamplingServer cluster(ccfg);
-  req.id = 3;
-  cluster.run(req);
-  const serve::ClusterSnapshot snap = cluster.metrics();
-  std::uint64_t total = 0;
-  for (const serve::ShardSnapshot& shard : snap.shards) {
-    EXPECT_TRUE(shard.metrics.resident);
-    total += shard.metrics.resident_pipes.total();
-  }
-  EXPECT_GT(total, 0u);
-}
-
-TEST(ResidentPipeStalls, ZeroInClassicMode) {
-  ThreadCountGuard guard;
-  exec::set_thread_count(1);
-  serve::SamplingServer server{serve::ServeConfig{}};  // resident off
-
-  serve::CreditRiskRequest req;
-  req.portfolio = test_portfolio();
-  req.num_scenarios = 64;
-  req.id = 1;
-  server.run(req);
-
-  const serve::MetricsSnapshot s = server.metrics();
-  EXPECT_FALSE(s.resident);
-  EXPECT_EQ(s.resident_pipes.total(), 0u);
-  EXPECT_EQ(s.resident_pipes.admission_write_stalls, 0u);
-  EXPECT_EQ(s.resident_pipes.rows_read_stalls, 0u);
 }
 
 // ---------------------------------------------------------------------

@@ -13,7 +13,10 @@
 #include <atomic>
 #include <cstdlib>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "common/error.h"
@@ -31,6 +34,24 @@ namespace {
 /// Restores the default thread count when a test returns early.
 struct ThreadCountGuard {
   ~ThreadCountGuard() { exec::set_thread_count(0); }
+};
+
+/// Restores DWI_THREADS (value or absence) when a test returns.
+class EnvThreadsGuard {
+ public:
+  EnvThreadsGuard() {
+    if (const char* v = std::getenv("DWI_THREADS")) saved_ = v;
+  }
+  ~EnvThreadsGuard() {
+    if (saved_) {
+      ::setenv("DWI_THREADS", saved_->c_str(), 1);
+    } else {
+      ::unsetenv("DWI_THREADS");
+    }
+  }
+
+ private:
+  std::optional<std::string> saved_;
 };
 
 // ---------------------------------------------------------------------
@@ -57,6 +78,31 @@ TEST(ParallelFor, ZeroAndOneIndexWork) {
     ++calls;
   });
   EXPECT_EQ(calls, 1);
+}
+
+TEST(ParallelFor, SingleIndexRunsInlineWithoutResolvingThePool) {
+  // One index needs no helper, so parallel_for(1, f) must not size the
+  // pool: with no override and a DWI_THREADS that parse_threads
+  // rejects, it still runs f exactly once on the caller.
+  ThreadCountGuard threads;
+  exec::set_thread_count(0);
+  EnvThreadsGuard env;  // destroyed first: the pool reset re-reads it
+  ::setenv("DWI_THREADS", "0", 1);
+  const std::thread::id caller = std::this_thread::get_id();
+  int calls = 0;
+  std::thread::id ran_on;
+  EXPECT_NO_THROW(exec::parallel_for(1, [&](std::size_t i) {
+    EXPECT_EQ(i, 0u);
+    ++calls;
+    ran_on = std::this_thread::get_id();
+  }));
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(ran_on, caller);
+  EXPECT_THROW(exec::parallel_for(1,
+                                  [](std::size_t) {
+                                    throw std::runtime_error("boom");
+                                  }),
+               std::runtime_error);
 }
 
 TEST(ParallelFor, PropagatesExceptionsAndDoesNotHang) {

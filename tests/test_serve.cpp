@@ -377,11 +377,10 @@ TEST(ServeBudget, OverrunFailsOnlyThatRequest) {
 }
 
 TEST(ServeBudget, EveryKindAndPathIsGuarded) {
-  // Sector slots (classic and resident CreditRisk+) and the zoo's
-  // slot 0 are checked as well; a failed request is never cached.
-  for (const bool resident : {false, true}) {
+  // CreditRisk+ sector slots and the zoo's slot 0 are checked as
+  // well; a failed request is never cached.
+  {
     serve::ServeConfig cfg = tiny_budget_config();
-    cfg.resident = resident;
     cfg.response_cache_entries = 4;
     serve::SamplingServer server(cfg);
     serve::CreditRiskRequest credit;
@@ -391,7 +390,7 @@ TEST(ServeBudget, EveryKindAndPathIsGuarded) {
     for (int attempt = 0; attempt < 2; ++attempt) {
       try {
         (void)server.run(credit);
-        FAIL() << "resident=" << resident;
+        FAIL() << "attempt " << attempt;
       } catch (const serve::StreamBudgetError& e) {
         EXPECT_EQ(e.slot(), 1u);  // sector 0 overruns first
       }
@@ -784,90 +783,11 @@ TEST(ServeMetrics, QueueWaitCoversTheTimeTheOnlyWorkerWasHeld) {
 }
 
 // ---------------------------------------------------------------------
-// Resident CreditRisk+ pipeline (serve/resident_pipeline.h)
+// CreditRisk+ admission and shutdown
 // ---------------------------------------------------------------------
 
-std::vector<serve::CreditRiskResult> serve_credit_batch(
-    const serve::ServeConfig& cfg, std::size_t n,
-    std::uint64_t num_scenarios) {
-  serve::SamplingServer server(cfg);
-  std::vector<std::future<serve::CreditRiskResult>> futures;
-  futures.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    serve::CreditRiskRequest req;
-    req.id = 100 + i;
-    req.portfolio = test_portfolio();
-    req.num_scenarios = num_scenarios;
-    futures.push_back(server.submit(req));
-  }
-  std::vector<serve::CreditRiskResult> out;
-  out.reserve(n);
-  for (auto& f : futures) out.push_back(f.get());
-  return out;
-}
-
-void expect_credit_identical(const std::vector<serve::CreditRiskResult>& a,
-                             const std::vector<serve::CreditRiskResult>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(a[i].id, b[i].id);
-    ASSERT_EQ(a[i].scenarios, b[i].scenarios);
-    // Bit-identity: exact double comparison on purpose.
-    ASSERT_EQ(a[i].mean, b[i].mean) << "request " << i;
-    ASSERT_EQ(a[i].variance, b[i].variance);
-    ASSERT_EQ(a[i].var95, b[i].var95);
-    ASSERT_EQ(a[i].var999, b[i].var999);
-    ASSERT_EQ(a[i].es999, b[i].es999);
-  }
-}
-
-TEST(ServeResident, ByteIdenticalToClassic) {
-  serve::ServeConfig cfg;
-  cfg.server_seed = 23;
-  const auto classic = serve_credit_batch(cfg, 6, 128);
-  cfg.resident = true;
-  const auto resident = serve_credit_batch(cfg, 6, 128);
-  expect_credit_identical(classic, resident);
-}
-
-TEST(ServeResident, RowBlockAndPipeDepthCannotMoveBits) {
-  serve::ServeConfig cfg;
-  cfg.server_seed = 31;
-  cfg.resident = true;
-  cfg.resident_row_block = 64;
-  cfg.resident_pipe_depth = 8;
-  const auto base = serve_credit_batch(cfg, 4, 150);
-  for (const std::size_t row_block : {std::size_t{1}, std::size_t{7}}) {
-    for (const std::size_t depth : {std::size_t{1}, std::size_t{16}}) {
-      cfg.resident_row_block = row_block;
-      cfg.resident_pipe_depth = depth;
-      expect_credit_identical(base, serve_credit_batch(cfg, 4, 150));
-    }
-  }
-}
-
-TEST(ServeResident, GammaRequestsStillUseTheClassicScheduler) {
-  // The resident chain serves CreditRisk+ only; gamma batches keep
-  // their scheduler path and their results.
-  serve::GammaRequest req;
-  req.id = 9;
-  req.alpha = 0.72f;
-  req.scale = 1.39f;
-  req.count = 200;
-  serve::ServeConfig cfg;
-  serve::SamplingServer classic(cfg);
-  const serve::GammaResult a = classic.run(req);
-  cfg.resident = true;
-  serve::SamplingServer resident(cfg);
-  const serve::GammaResult b = resident.run(req);
-  ASSERT_EQ(a.samples, b.samples);
-  EXPECT_EQ(a.attempts, b.attempts);
-}
-
-TEST(ServeResident, ShutdownDrainsAdmittedWorkAndRejectsLate) {
-  serve::ServeConfig cfg;
-  cfg.resident = true;
-  serve::SamplingServer server(cfg);
+TEST(ServeCreditRisk, ShutdownDrainsAdmittedWorkAndRejectsLate) {
+  serve::SamplingServer server;
   serve::CreditRiskRequest req;
   req.id = 1;
   req.portfolio = test_portfolio();
@@ -886,20 +806,29 @@ TEST(ServeResident, ShutdownDrainsAdmittedWorkAndRejectsLate) {
   EXPECT_EQ(m.rejected_shutdown, 1u);
 }
 
-TEST(ServeResident, InvalidRequestsRejectWithoutAdmission) {
+TEST(ServeCreditRisk, InvalidRequestsRejectWithoutAdmission) {
   serve::ServeConfig cfg;
-  cfg.resident = true;
+  cfg.max_scenarios = 1000;
+  cfg.substreams_per_request = 2;  // room for one sector only
   serve::SamplingServer server(cfg);
   serve::CreditRiskRequest req;
   req.id = 1;
-  req.portfolio = test_portfolio();
-  req.num_scenarios = 1;  // below the minimum
+  req.portfolio = std::make_shared<const finance::Portfolio>(
+      finance::Portfolio::synthetic(16, {{1.39, "representative"}}, 7u));
   std::future<serve::CreditRiskResult> f;
+  req.num_scenarios = 1;  // below the minimum
+  EXPECT_EQ(server.try_submit(req, &f),
+            serve::ServeStatus::kInvalidRequest);
+  req.num_scenarios = cfg.max_scenarios + 1;  // above the limit
+  EXPECT_EQ(server.try_submit(req, &f),
+            serve::ServeStatus::kInvalidRequest);
+  req.num_scenarios = 64;
+  req.portfolio = test_portfolio();  // two sectors: one too many
   EXPECT_EQ(server.try_submit(req, &f),
             serve::ServeStatus::kInvalidRequest);
   const serve::MetricsSnapshot m = server.metrics();
   EXPECT_EQ(m.admitted, 0u);
-  EXPECT_EQ(m.rejected_invalid, 1u);
+  EXPECT_EQ(m.rejected_invalid, 3u);
 }
 
 // ---------------------------------------------------------------------
@@ -1372,9 +1301,8 @@ TEST(ServeCache, ZooHitReplaysBitsAndSkipsTheQueue) {
   EXPECT_EQ(f2.get().match, first.match);  // payload still identical
 }
 
-TEST(ServeCache, ResidentCreditPathServesFromCache) {
+TEST(ServeCache, CreditRiskHitReplaysBitsAndSkipsTheQueue) {
   serve::ServeConfig cfg;
-  cfg.resident = true;
   cfg.response_cache_entries = 8;
   serve::SamplingServer server(cfg);
   serve::CreditRiskRequest req;
@@ -1382,12 +1310,22 @@ TEST(ServeCache, ResidentCreditPathServesFromCache) {
   req.portfolio = test_portfolio();
   req.num_scenarios = 64;
   const serve::CreditRiskResult first = server.run(req);
-  const serve::CreditRiskResult again = server.run(req);
-  ASSERT_EQ(first.mean, again.mean);
-  ASSERT_EQ(first.var999, again.var999);
+  std::future<serve::CreditRiskResult> f;
+  bool hit = false;
+  ASSERT_EQ(server.try_submit(req, &f, &hit), serve::ServeStatus::kAdmitted);
+  EXPECT_TRUE(hit);
+  const serve::CreditRiskResult again = f.get();
+  // Bit-identity: exact double comparison on purpose.
+  EXPECT_EQ(first.scenarios, again.scenarios);
+  EXPECT_EQ(first.mean, again.mean);
+  EXPECT_EQ(first.variance, again.variance);
+  EXPECT_EQ(first.var95, again.var95);
+  EXPECT_EQ(first.var999, again.var999);
+  EXPECT_EQ(first.es999, again.es999);
   const serve::MetricsSnapshot m = server.metrics();
   EXPECT_EQ(m.cache_hits, 1u);
   EXPECT_EQ(m.cache_misses, 1u);
+  EXPECT_EQ(m.admitted, 1u);  // the hit never entered the queue
 }
 
 }  // namespace

@@ -390,10 +390,10 @@ std::uint64_t total_admitted(const std::vector<Admitted>& all) {
   return n;
 }
 
-void expect_server_drained(bool resident) {
+void expect_server_drained(bool batching) {
   serve::ServeConfig cfg;
   cfg.queue_capacity = 64;
-  cfg.resident = resident;
+  cfg.batching = batching;
   serve::SamplingServer server(cfg);
   std::vector<Admitted> admitted = race_shutdown(server, 4);
   const auto [values, errors] = drain(admitted);
@@ -407,11 +407,11 @@ void expect_server_drained(bool resident) {
 }
 
 TEST(ServeShutdownRace, EveryAdmittedFutureIsFulfilledOnce) {
-  expect_server_drained(/*resident=*/false);
+  expect_server_drained(/*batching=*/true);
 }
 
-TEST(ServeShutdownRace, ResidentEveryAdmittedFutureIsFulfilledOnce) {
-  expect_server_drained(/*resident=*/true);
+TEST(ServeShutdownRace, UnbatchedEveryAdmittedFutureIsFulfilledOnce) {
+  expect_server_drained(/*batching=*/false);
 }
 
 TEST(ServeShutdownRace, ClusterEveryAdmittedFutureIsFulfilledOnce) {

@@ -49,7 +49,7 @@ TEST(Autotuner, SameSeedSameTable3Config) {
 
 TEST(Autotuner, SameSeedSameServeConfig) {
   ServeWorkloadSpec spec;
-  spec.resident = true;
+  spec.thread_candidates = {1, 2, 4};
   const TuneResult a = tune_serve(spec, fast_options(3));
   const TuneResult b = tune_serve(spec, fast_options(3));
   EXPECT_EQ(format_tuned_config(a.best), format_tuned_config(b.best));
@@ -165,7 +165,7 @@ TEST(Autotuner, ServeTunedNeverLosesToDefaults) {
   EXPECT_GE(r.best.modeled_throughput, r.fallback.modeled_throughput);
   EXPECT_EQ(r.best.threads, 4u);
   EXPECT_DOUBLE_EQ(r.fallback.modeled_throughput,
-                   modeled_serve_rps(spec, 16, 256, 1, 8));
+                   modeled_serve_rps(spec, 16, 256, 1));
 }
 
 // ---- TunedConfig wire format -----------------------------------------
@@ -185,7 +185,6 @@ TEST(TunedConfigFormat, RoundTripsEveryField) {
   cfg.threads = 4;
   cfg.max_batch = 64;
   cfg.queue_capacity = 1024;
-  cfg.pipe_depth = 32;
   cfg.modeled_throughput = 1478712039.25;
   cfg.feasible = true;
   const std::string text = format_tuned_config(cfg);
@@ -202,10 +201,12 @@ TEST(TunedConfigFormat, RejectsMalformedInput) {
   EXPECT_THROW((void)parse_tuned_config("nonsense v9\n"), dwi::Error);
   EXPECT_THROW((void)parse_tuned_config(good + "mystery_knob=3\n"),
                dwi::Error);
-  // The retired serve strategy knob is an unknown key like any other.
+  // Retired serve knobs are unknown keys like any other.
   EXPECT_THROW(
       (void)parse_tuned_config(good + "stream_strategy=counter-based\n"),
       dwi::Error);
+  EXPECT_THROW((void)parse_tuned_config(good + "pipe_depth=8\n"),
+               dwi::Error);
   EXPECT_THROW((void)parse_tuned_config(good + "work_items=eight\n"),
                dwi::Error);
   EXPECT_THROW(
