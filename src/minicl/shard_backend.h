@@ -60,8 +60,7 @@ class ShardBackend {
 
   /// Modeled kernel seconds of ONE request of this shape — the same
   /// launch account() would mirror, without touching the busy-time
-  /// account. The capacity planner (src/tune) divides a workload mix
-  /// through this to get a shard's modeled requests/second.
+  /// account: pricing a shape never charges the shard's timeline.
   /// Thread-safe; memoized like account().
   double estimate_seconds(std::uint64_t total_outputs,
                           float sector_variance) const;

@@ -150,14 +150,9 @@ ShardedSamplingServer::ShardedSamplingServer(ClusterConfig cfg)
   for (std::size_t i = 0; i < cfg_.num_shards; ++i) {
     auto shard = std::make_unique<Shard>();
     // Every shard gets the SAME ServeConfig — one server_seed, one
-    // substream geometry — which is the whole determinism story. Only
-    // the capacity plan (admission bounds, not response bytes) may
-    // vary per shard, cycled like the device list.
-    ServeConfig shard_cfg = cfg_.shard;
-    if (!cfg_.shard_capacity.empty()) {
-      shard_cfg.capacity = cfg_.shard_capacity[i % cfg_.shard_capacity.size()];
-    }
-    shard->server = std::make_unique<SamplingServer>(shard_cfg);
+    // substream geometry, one pair of admission bounds — which is the
+    // whole determinism story.
+    shard->server = std::make_unique<SamplingServer>(cfg_.shard);
     const minicl::BackendKind kind =
         cfg_.devices.empty()
             ? minicl::BackendKind::kFpga

@@ -118,7 +118,8 @@ struct ClusterConfig {
   /// Per-shard server configuration. Every shard gets an identical
   /// copy — one server_seed for the whole cluster is precisely what
   /// makes placement irrelevant to response bytes. queue_capacity,
-  /// batching, substream geometry etc. all apply per shard.
+  /// max_batch, batching, substream geometry etc. all apply per shard
+  /// exactly as set here.
   /// (shard.response_cache_entries turns on a PER-SHARD response
   /// cache; with consistent-hash placement, retries of an id land on
   /// the shard that cached it.)
@@ -127,14 +128,6 @@ struct ClusterConfig {
   /// Simulated device kind per shard; cycled when shorter than
   /// num_shards, all-FPGA when empty.
   std::vector<minicl::BackendKind> devices;
-
-  /// Per-shard modeled-capacity plans (normally from
-  /// tune::plan_cluster_capacity); cycled like `devices` when shorter
-  /// than num_shards. Each entry overrides shard.capacity for its
-  /// shard, so a heterogeneous cluster derives DIFFERENT admission
-  /// bounds per device kind. Empty leaves shard.capacity (usually
-  /// disabled) in force everywhere.
-  std::vector<CapacityPlan> shard_capacity;
 
   /// Mirror admitted requests onto each shard's modeled device
   /// timeline (minicl::ShardBackend::account). Off leaves the device
@@ -270,8 +263,8 @@ ServeStatus ShardedSamplingServer::try_submit(
           stolen_.fetch_add(1, std::memory_order_relaxed);
         }
         // A cached answer never reached the device: charging the
-        // modeled timeline for it would overstate occupancy and skew
-        // capacity planning, so accounting is for computed work only.
+        // modeled timeline for it would overstate occupancy, so
+        // accounting is for computed work only.
         if (cfg_.model_devices && !cache_hit) {
           const ModeledLoad load = modeled_load(req);
           shard.backend->account(load.outputs, load.sector_variance);

@@ -42,7 +42,6 @@
 #include "rng/mersenne_twister.h"
 #include "rng/philox.h"
 #include "serve/batch_scheduler.h"
-#include "serve/capacity.h"
 #include "serve/metrics.h"
 #include "serve/request.h"
 #include "serve/response_cache.h"
@@ -54,6 +53,10 @@ struct ServeConfig {
   /// is a deterministic function of this and the request stream.
   std::uint32_t server_seed = 1;
 
+  /// Admission bounds, handed to the BatchScheduler as set: 0 in
+  /// either throws dwi::Error at construction. A max_batch above
+  /// queue_capacity stays as given (a claim never takes more than the
+  /// queue holds).
   std::size_t queue_capacity = 256;
   std::size_t max_batch = 16;
   bool batching = true;
@@ -87,13 +90,6 @@ struct ServeConfig {
   /// longer reads it; it stays so callers that replay jump-ahead
   /// substreams on the serve geometry keep compiling.
   rng::MtParams mt = rng::mt521_params();
-
-  /// Modeled-capacity admission (serve/capacity.h). When enabled
-  /// (modeled_rps > 0, normally filled in by tune::apply_capacity),
-  /// the constructor REPLACES queue_capacity and max_batch above with
-  /// bounds derived from the plan; config() reflects the effective
-  /// values. Disabled plans leave the explicit constants untouched.
-  CapacityPlan capacity;
 
   /// Bounded deterministic response cache
   /// (serve/response_cache.h): entries retained per request kind.
@@ -149,6 +145,7 @@ class SamplingServer {
 
   /// Snapshot of the server's counters and latency summary.
   MetricsSnapshot metrics() const;
+  /// The configuration exactly as the caller set it.
   const ServeConfig& config() const { return cfg_; }
 
   /// Current admission-queue occupancy. The cluster router's

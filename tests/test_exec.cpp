@@ -195,6 +195,7 @@ TEST(ExecConfig, ParseThreadsRejectsMisconfigurations) {
 
 TEST(ExecConfig, EnvParsingAndOverride) {
   ThreadCountGuard guard;
+  EnvThreadsGuard env;  // destroyed first: the pool reset re-reads it
   ::setenv("DWI_THREADS", "3", 1);
   EXPECT_EQ(exec::ExecConfig::from_env().resolved(), 3u);
   ::setenv("DWI_THREADS", "not-a-number", 1);

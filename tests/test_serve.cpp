@@ -26,12 +26,14 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdint>
 #include <future>
 #include <memory>
 #include <mutex>
 #include <numeric>
 #include <random>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/error.h"
@@ -93,16 +95,29 @@ struct ServedResults {
   std::vector<serve::CreditRiskResult> credit;  // by set position
 };
 
+/// Submits `items` in `order`. After every `window` submissions it
+/// waits for them to finish, so a queue of `window` entries never fills.
 ServedResults serve_set(serve::SamplingServer& server,
                         const std::vector<RequestItem>& items,
-                        const std::vector<std::size_t>& order) {
+                        const std::vector<std::size_t>& order,
+                        std::size_t window = SIZE_MAX) {
   std::vector<std::future<serve::GammaResult>> gf(items.size());
   std::vector<std::future<serve::CreditRiskResult>> cf(items.size());
-  for (const std::size_t i : order) {
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    const std::size_t i = order[k];
     if (items[i].is_gamma) {
       gf[i] = server.submit(items[i].gamma);
     } else {
       cf[i] = server.submit(items[i].credit);
+    }
+    if ((k + 1) % window != 0) continue;
+    for (std::size_t j = k + 1 - window; j <= k; ++j) {
+      const std::size_t w = order[j];
+      if (items[w].is_gamma) {
+        gf[w].wait();
+      } else {
+        cf[w].wait();
+      }
     }
   }
   ServedResults out;
@@ -902,60 +917,47 @@ TEST(ServeMetrics, RecorderStorageStaysBoundedUnderLoad) {
 }
 
 // ---------------------------------------------------------------------
-// Modeled-capacity admission (serve/capacity.h wiring)
+// Admission bounds: the constants the caller sets
 // ---------------------------------------------------------------------
 
-TEST(ServeCapacity, EnabledPlanReplacesQueueAndBatchConstants) {
-  serve::ServeConfig cfg;
-  cfg.queue_capacity = 256;
-  cfg.max_batch = 16;
-  cfg.capacity.modeled_rps = 100.0;  // 0.05 s queue -> 5, 2 ms batch -> 1
-  serve::SamplingServer server(cfg);
-  EXPECT_EQ(server.config().queue_capacity, 5u);
-  EXPECT_EQ(server.config().max_batch, 1u);
-}
-
-TEST(ServeCapacity, BoundsTrackTheModeledDeviceSpeed) {
-  // Same workload mix, two modeled devices: the faster device derives
-  // the wider admission bounds — the whole point of capacity-aware
-  // admission on a heterogeneous cluster.
-  serve::ServeConfig fast_cfg, slow_cfg;
-  fast_cfg.capacity.modeled_rps = 20000.0;
-  slow_cfg.capacity.modeled_rps = 30.0;
-  serve::SamplingServer fast_server(fast_cfg);
-  serve::SamplingServer slow_server(slow_cfg);
-  EXPECT_GT(fast_server.config().queue_capacity,
-            slow_server.config().queue_capacity);
-  EXPECT_GE(fast_server.config().max_batch,
-            slow_server.config().max_batch);
-  // Floors: even a glacial modeled device must admit and dispatch.
-  serve::ServeConfig glacial_cfg;
-  glacial_cfg.capacity.modeled_rps = 1e-6;
-  serve::SamplingServer glacial(glacial_cfg);
-  EXPECT_GE(glacial.config().queue_capacity, 1u);
-  EXPECT_GE(glacial.config().max_batch, 1u);
-}
-
 TEST(ServeCapacity, DisabledPlanKeepsTheExplicitConstants) {
+  // config() echoes the caller's bounds, including a max_batch above
+  // the queue size (a claim never takes more than the queue holds).
   serve::ServeConfig cfg;
   cfg.queue_capacity = 77;
   cfg.max_batch = 9;
-  // cfg.capacity left at its default: modeled_rps == 0, plan off.
   serve::SamplingServer server(cfg);
   EXPECT_EQ(server.config().queue_capacity, 77u);
   EXPECT_EQ(server.config().max_batch, 9u);
+
+  serve::ServeConfig wide;
+  wide.queue_capacity = 4;
+  wide.max_batch = 64;
+  serve::SamplingServer wide_server(wide);
+  EXPECT_EQ(wide_server.config().queue_capacity, 4u);
+  EXPECT_EQ(wide_server.config().max_batch, 64u);
 }
 
 TEST(ServeCapacity, DerivedBoundsDoNotMoveResponseBits) {
+  // Small explicit bounds change the queueing and batching shape only.
+  // The 5-deep queue is fed in windows of 5 so no submit meets a full
+  // queue.
   const auto items = mixed_request_set();
   std::vector<std::size_t> order(items.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
-  serve::ServeConfig plain;
-  serve::ServeConfig planned;
-  planned.capacity.modeled_rps = 4000.0;  // queue 200, batch 8
-  serve::SamplingServer a(plain), b(planned);
-  expect_identical(serve_set(a, items, order), serve_set(b, items, order),
-                   items);
+  serve::SamplingServer plain{serve::ServeConfig{}};
+  const ServedResults reference = serve_set(plain, items, order);
+  for (const auto& [queue, batch] :
+       {std::pair<std::size_t, std::size_t>{200, 8}, {5, 1}}) {
+    SCOPED_TRACE(testing::Message() << "queue " << queue << " batch "
+                                    << batch);
+    serve::ServeConfig cfg;
+    cfg.queue_capacity = queue;
+    cfg.max_batch = batch;
+    serve::SamplingServer server(cfg);
+    expect_identical(reference, serve_set(server, items, order, queue),
+                     items);
+  }
 }
 
 // ---------------------------------------------------------------------

@@ -9,6 +9,9 @@
 //   * shutdown racing concurrent submitters: every admitted future is
 //     fulfilled exactly once (value or exception) and the counters
 //     balance (admitted == completed + failed);
+//   * admission bounds as the caller sets them: a zero queue_capacity or
+//     max_batch is a typed error on a server and on a cluster, and
+//     every shard keeps the bounds it was given;
 //   * the request-id bound, typed over every kind: the largest id whose
 //     substream block fits in 64 bits is served, the next is invalid.
 #include <gtest/gtest.h>
@@ -434,6 +437,50 @@ TEST(ServeShutdownRace, ClusterEveryAdmittedFutureIsFulfilledOnce) {
   EXPECT_EQ(shard_admitted, snap.admitted);
   EXPECT_EQ(shard_done, snap.admitted);
   EXPECT_GE(snap.rejected_shutdown, 4u);  // each submitter saw one
+}
+
+// ---------------------------------------------------------------------
+// Admission bounds
+// ---------------------------------------------------------------------
+
+/// One config with queue_capacity 0 and one with max_batch 0.
+std::vector<serve::ServeConfig> zero_bound_configs() {
+  serve::ServeConfig zero_queue;
+  zero_queue.queue_capacity = 0;
+  serve::ServeConfig zero_batch;
+  zero_batch.max_batch = 0;
+  return {zero_queue, zero_batch};
+}
+
+TEST(ServeAdmissionBounds, ServerRejectsZeroQueueAndZeroBatch) {
+  for (const serve::ServeConfig& cfg : zero_bound_configs()) {
+    EXPECT_THROW(serve::SamplingServer{cfg}, Error);
+  }
+}
+
+TEST(ServeAdmissionBounds, ClusterRejectsZeroQueueAndZeroBatch) {
+  for (const serve::ServeConfig& cfg : zero_bound_configs()) {
+    serve::ClusterConfig ccfg;
+    ccfg.num_shards = 4;
+    ccfg.shard = cfg;
+    EXPECT_THROW(serve::ShardedSamplingServer{ccfg}, Error);
+  }
+}
+
+TEST(ServeAdmissionBounds, EveryShardKeepsTheBoundsAsSet) {
+  // A max_batch above the queue size stays as given.
+  serve::ClusterConfig cfg;
+  cfg.num_shards = 4;
+  cfg.shard.queue_capacity = 3;
+  cfg.shard.max_batch = 64;
+  serve::ShardedSamplingServer cluster(cfg);
+  for (std::size_t i = 0; i < cluster.num_shards(); ++i) {
+    EXPECT_EQ(cluster.shard(i).config().queue_capacity, 3u);
+    EXPECT_EQ(cluster.shard(i).config().max_batch, 64u);
+  }
+  const serve::GammaResult r =
+      cluster.run(small_request<serve::GammaRequest>(7));
+  EXPECT_EQ(r.id, 7u);
 }
 
 // ---------------------------------------------------------------------
